@@ -31,10 +31,6 @@ func runChildren(o options) error {
 	if len(names) == 0 {
 		return fmt.Errorf("unknown workload %q (have %v)", o.workload, workloadNames())
 	}
-	size := "full"
-	if o.tiny {
-		size = "tiny"
-	}
 	bounds := readBounds("BENCHMARK.json")
 	defs := endToEnd
 	if o.trace == 1 {
@@ -47,7 +43,7 @@ func runChildren(o options) error {
 		for i := 0; i < runs; i++ {
 			seed := o.seed + uint64(i)
 			cmd := exec.Command(exe, "--workload", name, "--seed", strconv.FormatUint(seed, 10),
-				"--seconds", strconv.FormatFloat(o.seconds, 'g', -1, 64), "--trace", strconv.Itoa(o.trace), "--size", size)
+				"--seconds", strconv.FormatFloat(o.seconds, 'g', -1, 64), "--trace", strconv.Itoa(o.trace))
 			cmd.Stderr = os.Stderr
 			stdout, runErr := cmd.Output()
 			res, perr := lastResult(stdout)

@@ -33,15 +33,15 @@ type metricDef struct {
 // --trace 0 by every workload.
 var endToEnd = []metricDef{
 	{"setup_s", "s"},
-	{"trials_per_s", "1/s"},
-	{"job_p50_ms", "ms"},
-	{"peak_rss_mb", "MB"},
+	{"trials_per_cpu_s", "1/s"},
+	{"rss_p90_mb", "MB"},
 }
 
 // perLayer are the metrics of single layers, reported with --trace 1 by
 // every workload. A layer the workload never calls reports 0.
 var perLayer = []metricDef{
 	{"trace_overhead_share", "share"},
+	{"host.cpu_share", "cpu_s/s"},
 	{"exp.trials", "count"},
 	{"exp.trials_failed", "count"},
 	{"exp.trial_ms.p50", "ms"},
@@ -53,7 +53,7 @@ var perLayer = []metricDef{
 	{"core.fork_run_ms.p50", "ms"},
 	{"core.chaos_trial_ms.p50", "ms"},
 	{"core.self_ms_per_trial", "ms"},
-	{"core.warm_computes", "count"},
+	{"core.warm_computes", "count/run"},
 	{"core.warm_hit_ratio", "share"},
 	{"core.setup_mcyc.mean", "Mcycles"},
 	{"core.resilient_rounds", "count"},
@@ -69,6 +69,7 @@ var perLayer = []metricDef{
 	{"serve.follow_ms.p50", "ms"},
 	{"serve.artifact_ms.p50", "ms"},
 	{"serve.queue_wait_ms.p50", "ms"},
+	{"serve.exec_run_p50_ms", "ms"},
 	{"serve.exec_run_p90_ms", "ms"},
 	{"serve.memo_run_p50_ms", "ms"},
 	{"serve.memo_run_p90_ms", "ms"},
@@ -91,6 +92,7 @@ type options struct {
 	seed     uint64
 	seconds  float64
 	trace    int
+	// tiny shrinks every generated input for the benchmark's smoke test.
 	tiny     bool
 	traceOut string
 	repeat   int
@@ -111,19 +113,13 @@ type metricValue struct {
 
 func main() {
 	var o options
-	var size string
 	flag.StringVar(&o.workload, "workload", "", "workload to run, or \"all\"")
 	flag.Uint64Var(&o.seed, "seed", 1, "workload seed: the same seed generates the same inputs")
 	flag.Float64Var(&o.seconds, "seconds", 20, "length of the measured phase")
 	flag.IntVar(&o.trace, "trace", 0, "0: end-to-end metrics; 1: traced run with per-layer metrics")
-	flag.StringVar(&size, "size", "full", "input size: full, or tiny for smoke tests")
 	flag.StringVar(&o.traceOut, "trace-out", "", "Chrome trace output path (default .bench_build/trace-<workload>.json)")
 	flag.IntVar(&o.repeat, "repeat", 0, "steadiness mode: run each workload N times with seeds seed..seed+N-1")
 	flag.Parse()
-	if size != "full" && size != "tiny" {
-		fatalf("unknown --size %q", size)
-	}
-	o.tiny = size == "tiny"
 	if o.trace != 0 && o.trace != 1 {
 		fatalf("--trace must be 0 or 1")
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"meecc/internal/core"
 	"meecc/internal/exp"
 	"meecc/internal/obs/ops"
 )
@@ -163,7 +164,7 @@ func TestSmokeAllWorkloads(t *testing.T) {
 				for _, d := range endToEnd {
 					// A tiny run can draw only machines whose attack setup
 					// fails; then nothing completes and throughput is 0.
-					allFailed := d.Name == "trials_per_s" && res.Failed == res.Attempted
+					allFailed := d.Name == "trials_per_cpu_s" && res.Failed == res.Attempted
 					if v := res.Metrics[d.Name].Value; !(v > 0) && !allFailed {
 						t.Errorf("%s: end-to-end metric %s = %v, want > 0", w.name, d.Name, v)
 					}
@@ -211,5 +212,25 @@ func TestSelfTimeSubtractsChildUnion(t *testing.T) {
 	// Trial self: 40-30 + 40 + 10 + 10.
 	if got := st.self[spanTrial]; got != 70*time.Millisecond {
 		t.Errorf("exp.trial self = %v, want 70ms", got)
+	}
+}
+
+func TestWarmMetricsFromCacheCounters(t *testing.T) {
+	st := spanStats{durs: map[string][]time.Duration{
+		spanWarmMiss: make([]time.Duration, 2),
+		spanWarmHit:  make([]time.Duration, 10),
+	}}
+	m := map[string]float64{}
+	// 12 Warm calls over 4 runs; the cache computed 2 states and loaded 1.
+	warmMetrics(m, st, core.WarmCacheStats{Computes: 2, DiskLoads: 1}, 4)
+	if got := m["core.warm_computes"]; got != 0.5 {
+		t.Errorf("core.warm_computes = %v, want 0.5 per run", got)
+	}
+	if got := m["core.warm_hit_ratio"]; got != 0.75 {
+		t.Errorf("core.warm_hit_ratio = %v, want 0.75", got)
+	}
+	warmMetrics(m, spanStats{}, core.WarmCacheStats{}, 0)
+	if m["core.warm_computes"] != 0 || m["core.warm_hit_ratio"] != 0 {
+		t.Errorf("no Warm calls: got %v, %v, want 0, 0", m["core.warm_computes"], m["core.warm_hit_ratio"])
 	}
 }

@@ -29,6 +29,9 @@ const (
 	// serveFillRuns is how many runs the fill phase serves: each fill spec
 	// once, then resubmissions.
 	serveFillRuns = 100
+	// serveSlots is how many runs the server executes at once, each with
+	// one trial worker: at most two trials at once.
+	serveSlots = 2
 )
 
 // serveSpec is one small paired channel spec of the serve-mixed workload:
@@ -53,15 +56,17 @@ func specTrials(s *exp.Spec) int { return len(s.Cells()) * s.Trials }
 // rig is an in-process serve.Server on a loopback listener.
 type rig struct {
 	srv    *serve.Server
+	ops    *ops.Registry // the server's own /metrics registry
 	hs     *http.Server
 	served chan error
 	base   string
 	http   *http.Client
 }
 
-// startRig opens the server (replaying its journal) and returns once
-// /readyz answers 200.
+// startRig opens the server (replaying its journal) with a registry of its
+// own and returns once /readyz answers 200.
 func startRig(cfg serve.Config) (*rig, error) {
+	cfg.Ops = ops.NewRegistry()
 	srv, err := serve.New(cfg)
 	if err != nil {
 		return nil, err
@@ -73,6 +78,7 @@ func startRig(cfg serve.Config) (*rig, error) {
 	}
 	r := &rig{
 		srv:    srv,
+		ops:    cfg.Ops,
 		hs:     &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second},
 		served: make(chan error, 1),
 		base:   "http://" + ln.Addr().String(),
@@ -108,6 +114,14 @@ func (r *rig) stop() error {
 	<-r.served
 	r.http.CloseIdleConnections()
 	return err
+}
+
+// fsyncMS is the mean journal fsync time the server recorded, in ms; the
+// server syncs its journal once, at shutdown, so after stop it is that
+// fsync's duration.
+func (r *rig) fsyncMS() float64 {
+	h := r.ops.Histogram("meecc_journal_fsync_seconds", "", nil)
+	return 1000 * h.Sum() / float64(max(h.Count(), 1))
 }
 
 func (r *rig) client() *serve.Client { return &serve.Client{BaseURL: r.base, HTTP: r.http} }
@@ -164,22 +178,55 @@ type serveRun struct {
 	mu       sync.Mutex
 	execs    []*exp.Spec // every exec spec submitted, by index
 	nextExec atomic.Int64
+
+	setups, fsyncs []float64 // set-up times, s; shutdown fsync times, ms
+}
+
+// setup runs one window of set-ups, each a server opened on a copy of the
+// filled journal until /readyz answers 200, after a GC so earlier garbage
+// stays out of it. Each server is then shut down, which syncs its journal
+// and gives an fsync sample.
+func (sr *serveRun) setup(cfg serve.Config) error {
+	for t0, n := time.Now(), 0; setupDue(sr.o, n, time.Since(t0)); n++ {
+		runtime.GC()
+		start := time.Now()
+		r, err := startRig(cfg)
+		if err != nil {
+			return err
+		}
+		sr.setups = append(sr.setups, time.Since(start).Seconds())
+		if err := r.stop(); err != nil {
+			return err
+		}
+		sr.fsyncs = append(sr.fsyncs, r.fsyncMS())
+	}
+	return nil
 }
 
 type servePhase struct {
-	exec, memo     []time.Duration
-	ops, failedOps int // a failed op errored, was refused, or executed failing trials
+	exec, memo []time.Duration
+	// An op is one served run. It fails, as `meecc submit` does, when it
+	// errors, is refused, or ends other than done. Failed trials of a done
+	// run are data in its artifact: with shared axes all of a run's trials
+	// share one simulated machine, and on about one machine in 200 the
+	// attack's monitor discovery finds no monitor.
+	ops, failedOps int
 	execFailures   int // failed trials of exec runs
 	wall           time.Duration
+	cpu            float64 // CPU-seconds the process used
 }
 
 // phase runs two closed-loop clients until d has passed. Each round of a
 // client submits a spec new to the server, then resubmits a fill spec; a
 // client stops only at a round boundary, so half the runs are memoized.
-func (sr *serveRun) phase(r *rig, d time.Duration, t *tracer) servePhase {
+func (sr *serveRun) phase(r *rig, d time.Duration, t *tracer) (servePhase, error) {
 	var ph servePhase
 	var mu sync.Mutex
 	var wg sync.WaitGroup
+	cpu0, err := cpuSeconds()
+	if err != nil {
+		return ph, err
+	}
 	start := time.Now()
 	for c := 0; c < 2; c++ {
 		wg.Add(1)
@@ -214,9 +261,14 @@ func (sr *serveRun) phase(r *rig, d time.Duration, t *tracer) servePhase {
 	}
 	wg.Wait()
 	ph.wall = time.Since(start)
+	cpu1, err := cpuSeconds()
+	if err != nil {
+		return ph, err
+	}
+	ph.cpu = cpu1 - cpu0
 	sr.out.attempted += ph.ops
 	sr.out.failed += ph.failedOps
-	return ph
+	return ph, nil
 }
 
 // record checks one finished operation. A memoized run must replay every
@@ -235,9 +287,6 @@ func (sr *serveRun) record(ph *servePhase, name string, r opResult, err error, m
 	} else {
 		ph.exec = append(ph.exec, r.lat)
 		ph.execFailures += r.ev.Failures
-		if r.ev.Failures > 0 {
-			ph.failedOps++
-		}
 		sr.out.check(r.ev.RunExecuted == int64(sr.trials),
 			"%s: new spec executed %d of %d trials", name, r.ev.RunExecuted, sr.trials)
 	}
@@ -315,8 +364,8 @@ func runServe(o options) (*outcome, error) {
 	sr.trials = specTrials(fillSpecs[0])
 	var tracing atomic.Pointer[tracer]
 	cfg := serve.Config{
-		Workers:       1, // with MaxConcurrent 2: at most two trials at once
-		MaxConcurrent: 2,
+		Workers:       1,
+		MaxConcurrent: serveSlots,
 		JournalPath:   filepath.Join(dir, "journal"),
 		StoreDir:      filepath.Join(dir, "store"),
 		StoreMaxBytes: 256 << 20,
@@ -350,50 +399,58 @@ func runServe(o options) (*outcome, error) {
 	if err := fillRig.stop(); err != nil {
 		return nil, err
 	}
-
-	// Set-up: open the server on the filled journal until it is ready.
-	reps := 15
-	if o.tiny || o.trace == 1 {
-		reps = 1
+	// Set-up servers replay a copy of the filled journal, with a store of
+	// their own, so the measured server below opens the original. A window
+	// of set-ups runs before the measured phase and another after it.
+	filled, err := os.ReadFile(cfg.JournalPath)
+	if err != nil {
+		return nil, err
 	}
-	var setups []float64
-	var r *rig
-	for i := 0; i < reps; i++ {
-		// A restarted server replays into a fresh process: collect the fill
-		// phase's garbage first so its GC work does not land in the set-up.
-		runtime.GC()
-		start := time.Now()
-		if r, err = startRig(cfg); err != nil {
-			return nil, err
-		}
-		setups = append(setups, time.Since(start).Seconds())
-		if i < reps-1 {
-			if err := r.stop(); err != nil {
-				return nil, err
-			}
-		}
+	setupCfg := cfg
+	setupCfg.JournalPath = filepath.Join(dir, "setup-journal")
+	setupCfg.StoreDir = filepath.Join(dir, "setup-store")
+	if err := os.WriteFile(setupCfg.JournalPath, filled, 0o644); err != nil {
+		return nil, err
+	}
+	if err := sr.setup(setupCfg); err != nil {
+		return nil, err
+	}
+	r, err := startRig(cfg)
+	if err != nil {
+		return nil, err
 	}
 	seconds := time.Duration(o.seconds * float64(time.Second))
 	m := out.metrics
 
 	if o.trace == 0 {
 		before := r.srv.Stats()
-		ph := sr.phase(r, seconds, nil)
+		rs := sampleRSS()
+		ph, err := sr.phase(r, seconds, nil)
 		after := r.srv.Stats()
-		rss, err := peakRSSMB()
+		rss, rerr := rs.p90()
+		if err == nil {
+			err = rerr
+		}
 		if err != nil {
 			r.stop()
 			return nil, err
 		}
-		m["setup_s"] = median(setups)
-		m["trials_per_s"] = float64(int(after.TrialsExecuted-before.TrialsExecuted)-ph.execFailures) / ph.wall.Seconds()
-		m["job_p50_ms"] = median(msAll(ph.exec))
-		m["peak_rss_mb"] = rss
+		if err := sr.setup(setupCfg); err != nil {
+			r.stop()
+			return nil, err
+		}
+		m["setup_s"] = median(sr.setups)
+		m["trials_per_cpu_s"] = perCPU(int(after.TrialsExecuted-before.TrialsExecuted)-ph.execFailures, ph.cpu)
+		m["rss_p90_mb"] = rss
 		logf("serve-mixed: %d exec runs, %d memo runs in %s", len(ph.exec), len(ph.memo), ph.wall.Round(time.Millisecond))
 	} else {
 		before := readRuntime()
 		s0 := r.srv.Stats()
-		plain := sr.phase(r, seconds/2, nil)
+		plain, err := sr.phase(r, seconds/2, nil)
+		if err != nil {
+			r.stop()
+			return nil, err
+		}
 		s1 := r.srv.Stats()
 		runtimeMetrics(m, before, readRuntime(), int(s1.TrialsExecuted-s0.TrialsExecuted))
 
@@ -404,7 +461,11 @@ func runServe(o options) (*outcome, error) {
 			r.stop()
 			return nil, err
 		}
-		traced := sr.phase(r, seconds/2, t)
+		traced, err := sr.phase(r, seconds/2, t)
+		if err != nil {
+			r.stop()
+			return nil, err
+		}
 		s2 := r.srv.Stats()
 		sc1, err := r.scrape()
 		if err != nil {
@@ -418,15 +479,19 @@ func runServe(o options) (*outcome, error) {
 		spans := t.rec.Spans("")
 		out.check(t.rec.Dropped() == 0, "span ring overflowed (%d dropped)", t.rec.Dropped())
 		st := summarizeSpans(spans)
-		layerMetrics(m, st, executed, workers, traced.wall)
-		plainTPS := float64(s1.TrialsExecuted-s0.TrialsExecuted) / plain.wall.Seconds()
-		m["trace_overhead_share"] = overheadShare(float64(executed)/traced.wall.Seconds(), plainTPS)
+		layerMetrics(m, st, executed, serveSlots, traced.wall)
+		m["trace_overhead_share"] = overheadShare(perCPU(executed, traced.cpu), perCPU(int(s1.TrialsExecuted-s0.TrialsExecuted), plain.cpu))
+		m["host.cpu_share"] = plain.cpu / plain.wall.Seconds()
 		m["exp.trials"] = float64(executed)
 		m["exp.trials_failed"] = float64(traced.execFailures)
-		m["core.warm_computes"] = float64(s2.Warm.Computes - s1.Warm.Computes)
+		warmMetrics(m, st, core.WarmCacheStats{
+			Computes:  s2.Warm.Computes - s1.Warm.Computes,
+			DiskLoads: s2.Warm.DiskLoads - s1.Warm.DiskLoads,
+		}, len(traced.exec))
 		m["serve.submit_ms.p50"] = st.p(spanSubmit, 0.5)
 		m["serve.follow_ms.p50"] = st.p(spanFollow, 0.5)
 		m["serve.artifact_ms.p50"] = st.p(spanFetch, 0.5)
+		m["serve.exec_run_p50_ms"] = percentile(msAll(traced.exec), 0.5)
 		m["serve.exec_run_p90_ms"] = percentile(msAll(traced.exec), 0.9)
 		m["serve.memo_run_p50_ms"] = percentile(msAll(traced.memo), 0.5)
 		m["serve.memo_run_p90_ms"] = percentile(msAll(traced.memo), 0.9)
@@ -436,9 +501,7 @@ func runServe(o options) (*outcome, error) {
 		m["serve.queue_wait_ms.p50"] = 1000 * diffQuantile(sc0, sc1, "meecc_serve_queue_wait_seconds", 0.5)
 		m["journal.append_ms.p50"] = 1000 * diffQuantile(sc0, sc1, "meecc_journal_append_seconds", 0.5)
 		m["journal.append_ms.p99"] = 1000 * diffQuantile(sc0, sc1, "meecc_journal_append_seconds", 0.99)
-		m["journal.fsync_ms.p50"] = 1000 * diffQuantile(sc0, sc1, "meecc_journal_fsync_seconds", 0.5)
-		m["journal.fsync_ms.p99"] = 1000 * diffQuantile(sc0, sc1, "meecc_journal_fsync_seconds", 0.99)
-		m["journal.bytes"] = sc1.Value("meecc_journal_size_bytes")
+		m["journal.bytes"] = float64(len(filled))
 		sim.fill(m)
 		if err := probeLayers(m, o.seed, o.tiny); err != nil {
 			r.stop()
@@ -451,6 +514,11 @@ func runServe(o options) (*outcome, error) {
 	}
 	if err := r.stop(); err != nil {
 		return nil, err
+	}
+	if o.trace == 1 {
+		fsyncs := append(sr.fsyncs, r.fsyncMS())
+		m["journal.fsync_ms.p50"] = percentile(fsyncs, 0.5)
+		m["journal.fsync_ms.p99"] = percentile(fsyncs, 0.99)
 	}
 
 	// Every served artifact of a new spec must match a local exp.Run.

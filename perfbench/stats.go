@@ -2,11 +2,13 @@ package main
 
 import (
 	"bufio"
+	"fmt"
 	"os"
 	"runtime/metrics"
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 )
 
@@ -50,6 +52,25 @@ func quartiles(xs []float64) (q1, q2, q3 float64) {
 
 func median(xs []float64) float64 { return percentile(xs, 0.5) }
 
+// cpuSeconds returns the CPU time the process has used, user and system.
+// Time the hypervisor gives other tenants (steal) is not in it, nor is time
+// the process waited for a CPU.
+func cpuSeconds() (float64, error) {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0, fmt.Errorf("getrusage: %w", err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds(), nil
+}
+
+// perCPU is n per CPU-second, or 0 when no CPU time was measured.
+func perCPU(n int, cpu float64) float64 {
+	if cpu <= 0 {
+		return 0
+	}
+	return float64(n) / cpu
+}
+
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func msAll(ds []time.Duration) []float64 {
@@ -60,8 +81,51 @@ func msAll(ds []time.Duration) []float64 {
 	return out
 }
 
-// peakRSSMB reads the process's resident-set high-water mark (VmHWM).
-func peakRSSMB() (float64, error) {
+// rssInterval is how often an rssSampler reads the resident set.
+const rssInterval = 50 * time.Millisecond
+
+// rssSampler reads the process's resident set (VmRSS) every rssInterval
+// until stopped. A high quantile of the samples is the process's memory
+// footprint under load; unlike the high-water mark (VmHWM), one coincidence
+// of two trials' allocation peaks with a late GC does not set it.
+type rssSampler struct {
+	stop chan struct{}
+	done chan []float64
+}
+
+func sampleRSS() *rssSampler {
+	s := &rssSampler{stop: make(chan struct{}), done: make(chan []float64, 1)}
+	go func() {
+		var mbs []float64
+		tick := time.NewTicker(rssInterval)
+		defer tick.Stop()
+		for {
+			if mb, err := rssMB(); err == nil {
+				mbs = append(mbs, mb)
+			}
+			select {
+			case <-s.stop:
+				s.done <- mbs
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return s
+}
+
+// p90 stops the sampler and returns the 90th percentile of its samples.
+func (s *rssSampler) p90() (float64, error) {
+	close(s.stop)
+	mbs := <-s.done
+	if len(mbs) == 0 {
+		return 0, fmt.Errorf("no VmRSS sample could be read")
+	}
+	return percentile(mbs, 0.9), nil
+}
+
+// rssMB reads the process's resident set size (VmRSS).
+func rssMB() (float64, error) {
 	f, err := os.Open("/proc/self/status")
 	if err != nil {
 		return 0, err
@@ -70,7 +134,7 @@ func peakRSSMB() (float64, error) {
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
-		if len(fields) >= 2 && fields[0] == "VmHWM:" {
+		if len(fields) >= 2 && fields[0] == "VmRSS:" {
 			kb, err := strconv.ParseFloat(fields[1], 64)
 			if err != nil {
 				return 0, err

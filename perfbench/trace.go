@@ -111,8 +111,6 @@ func trialID(j exp.Job) string {
 func tracedRunner(study string, warm *core.WarmCache, t *tracer) (exp.Runner, error) {
 	switch study {
 	case "", "channel":
-		var mu sync.Mutex
-		warmed := map[uint64]bool{}
 		return func(j exp.Job) (exp.Metrics, *obs.Snapshot, error) {
 			id := trialID(j)
 			slot, track := t.acquire()
@@ -134,15 +132,15 @@ func tracedRunner(study string, warm *core.WarmCache, t *tracer) (exp.Runner, er
 			// The channel study forks warm state only for specs with shared
 			// axes and configs the warm path can carry.
 			if len(j.Spec.SharedAxes) > 0 && cfg.Noise == core.NoiseNone && cfg.Fault == nil && cfg.Obs == nil {
-				mu.Lock()
-				name := spanWarmHit
-				if !warmed[j.Seed] {
-					warmed[j.Seed] = true
-					name = spanWarmMiss
-				}
-				mu.Unlock()
+				// A call during which the cache computed or loaded a warm
+				// state is timed as a miss; it waited for that work.
+				before := warm.Stats()
 				start = time.Now()
 				ws, werr := warm.Warm(cfg)
+				name := spanWarmHit
+				if after := warm.Stats(); after.Computes+after.DiskLoads > before.Computes+before.DiskLoads {
+					name = spanWarmMiss
+				}
 				t.span(id, track, name, start)
 				if werr != nil {
 					return nil, nil, werr
@@ -301,10 +299,17 @@ func layerMetrics(m map[string]float64, st spanStats, trials, workers int, wall 
 	m["core.fork_run_ms.p50"] = st.p(spanForkRun, 0.5)
 	m["core.chaos_trial_ms.p50"] = st.p(spanChaosTrial, 0.5)
 	m["core.self_ms_per_trial"] = st.selfMS("core.") / n
-	misses, hits := len(st.durs[spanWarmMiss]), len(st.durs[spanWarmHit])
+}
+
+// warmMetrics fills the warm-tier metrics of a traced phase from its
+// WarmCache counters: warm phases computed per executed run, and the share
+// of WarmCache.Warm calls (counted from the spans) that neither computed nor
+// loaded a warm state. Both are 0 when the phase made no Warm call.
+func warmMetrics(m map[string]float64, st spanStats, ws core.WarmCacheStats, runs int) {
+	m["core.warm_computes"] = float64(ws.Computes) / float64(max(runs, 1))
 	m["core.warm_hit_ratio"] = 0
-	if misses+hits > 0 {
-		m["core.warm_hit_ratio"] = float64(hits) / float64(misses+hits)
+	if calls := len(st.durs[spanWarmMiss]) + len(st.durs[spanWarmHit]); calls > 0 {
+		m["core.warm_hit_ratio"] = 1 - float64(ws.Computes+ws.DiskLoads)/float64(calls)
 	}
 }
 
