@@ -125,6 +125,11 @@ echo "== fuzz smoke: internal/snapstore =="
 # machines.
 go test ./internal/snapstore -run '^$' -fuzz FuzzSnapshotCodec -fuzztime 5s
 
+echo "== fuzz smoke: internal/platform =="
+# Forking must be behaviorally invisible under every MEE replacement policy,
+# including the randomized ones whose victim source Fork rebinds.
+go test ./internal/platform -run '^$' -fuzz FuzzForkEquivalence -fuzztime 5s
+
 echo "== fuzz smoke: internal/serve/journal =="
 # The write-ahead log replays whatever a crash left on disk: arbitrary bytes
 # must never panic, and every record recovered must be a real record.

@@ -39,47 +39,63 @@ type Stats struct {
 // Cache is a set-associative cache. It is not safe for concurrent use; the
 // simulation engine serializes all actors, so no locking is needed.
 type Cache struct {
-	name    string
-	sets    int
-	ways    int
-	lines   [][]Line
-	state   []SetState
-	policy  Policy
-	stats   Stats
-	evBySet []uint64
+	// s holds everything that is copied on Clone and serialized: geometry,
+	// the flat line and replacement slabs, and the counters.
+	s     State
+	kind  policyKind
+	words int        // replacement words per set in s.Repl
+	rng   *rand.Rand // victim source of randomized policies, else nil
 }
 
 // New builds a cache with the given geometry and replacement policy.
 // sets and ways must be positive; tree-PLRU additionally requires ways to be
-// a power of two (enforced by the policy).
+// a power of two, and the bit-per-way policies at most 64 ways.
 func New(name string, sets, ways int, policy Policy) *Cache {
 	if sets <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("cache %s: invalid geometry %dx%d", name, sets, ways))
 	}
+	if err := policy.kind.checkWays(ways); err != nil {
+		panic(fmt.Sprintf("cache %s: %v", name, err))
+	}
+	words := policy.kind.words(ways)
 	c := &Cache{
-		name:    name,
-		sets:    sets,
-		ways:    ways,
-		lines:   make([][]Line, sets),
-		state:   make([]SetState, sets),
-		policy:  policy,
-		evBySet: make([]uint64, sets),
+		s: State{
+			Name:       name,
+			Sets:       sets,
+			Ways:       ways,
+			PolicyName: policy.Name(),
+			Lines:      make([]Line, sets*ways),
+			Repl:       make([]uint64, sets*words),
+			EvBySet:    make([]uint64, sets),
+		},
+		kind:  policy.kind,
+		words: words,
+		rng:   policy.rng,
 	}
-	for s := range c.lines {
-		c.lines[s] = make([]Line, ways)
-		c.state[s] = policy.NewSetState(ways)
-	}
+	c.kind.initSlab(c.s.Repl)
 	return c
 }
 
+// lines returns set's ways in the line slab.
+func (c *Cache) lines(set int) []Line {
+	i := set * c.s.Ways
+	return c.s.Lines[i : i+c.s.Ways : i+c.s.Ways]
+}
+
+// repl returns set's words in the replacement slab.
+func (c *Cache) repl(set int) []uint64 {
+	i := set * c.words
+	return c.s.Repl[i : i+c.words : i+c.words]
+}
+
 // Name returns the cache's diagnostic name.
-func (c *Cache) Name() string { return c.name }
+func (c *Cache) Name() string { return c.s.Name }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache) Sets() int { return c.s.Sets }
 
 // Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
+func (c *Cache) Ways() int { return c.s.Ways }
 
 // Observe registers the cache's counters with an observer as deferred
 // samples under "cache.<prefix>.": nothing is added to the lookup/insert hot
@@ -92,12 +108,12 @@ func (c *Cache) Observe(o *obs.Observer, prefix string) {
 		return
 	}
 	p := "cache." + prefix + "."
-	o.Sample(p+"hits", obs.Semantic, func() uint64 { return c.stats.Hits })
-	o.Sample(p+"misses", obs.Semantic, func() uint64 { return c.stats.Misses })
-	o.Sample(p+"fills", obs.Semantic, func() uint64 { return c.stats.Fills })
-	o.Sample(p+"evictions", obs.Semantic, func() uint64 { return c.stats.Evictions })
-	o.Sample(p+"writebacks_out", obs.Semantic, func() uint64 { return c.stats.WritebacksOut })
-	o.Sample(p+"invalidations", obs.Semantic, func() uint64 { return c.stats.Invalidations })
+	o.Sample(p+"hits", obs.Semantic, func() uint64 { return c.s.Stats.Hits })
+	o.Sample(p+"misses", obs.Semantic, func() uint64 { return c.s.Stats.Misses })
+	o.Sample(p+"fills", obs.Semantic, func() uint64 { return c.s.Stats.Fills })
+	o.Sample(p+"evictions", obs.Semantic, func() uint64 { return c.s.Stats.Evictions })
+	o.Sample(p+"writebacks_out", obs.Semantic, func() uint64 { return c.s.Stats.WritebacksOut })
+	o.Sample(p+"invalidations", obs.Semantic, func() uint64 { return c.s.Stats.Invalidations })
 	o.Sample(p+"hot_set", obs.Semantic, func() uint64 {
 		set, _ := c.MaxSetEvictions()
 		return uint64(set)
@@ -109,13 +125,13 @@ func (c *Cache) Observe(o *obs.Observer, prefix string) {
 }
 
 // Stats returns a copy of the accumulated statistics.
-func (c *Cache) Stats() Stats { return c.stats }
+func (c *Cache) Stats() Stats { return c.s.Stats }
 
 // ResetStats zeroes the statistics counters, including per-set evictions.
 func (c *Cache) ResetStats() {
-	c.stats = Stats{}
-	for i := range c.evBySet {
-		c.evBySet[i] = 0
+	c.s.Stats = Stats{}
+	for i := range c.s.EvBySet {
+		c.s.EvBySet[i] = 0
 	}
 }
 
@@ -131,17 +147,17 @@ func (c *Cache) EvictionsBySet() []uint64 {
 // Periodic samplers (e.g. the detect monitor) pass their previous buffer to
 // keep the polling loop allocation-free.
 func (c *Cache) EvictionsBySetInto(dst []uint64) []uint64 {
-	if cap(dst) < len(c.evBySet) {
-		dst = make([]uint64, len(c.evBySet))
+	if cap(dst) < len(c.s.EvBySet) {
+		dst = make([]uint64, len(c.s.EvBySet))
 	}
-	dst = dst[:len(c.evBySet)]
-	copy(dst, c.evBySet)
+	dst = dst[:len(c.s.EvBySet)]
+	copy(dst, c.s.EvBySet)
 	return dst
 }
 
 // MaxSetEvictions returns the hottest set's eviction count and its index.
 func (c *Cache) MaxSetEvictions() (set int, count uint64) {
-	for s, n := range c.evBySet {
+	for s, n := range c.s.EvBySet {
 		if n > count {
 			set, count = s, n
 		}
@@ -161,15 +177,15 @@ func (c *Cache) Lookup(set int, tag Tag) bool {
 // the cpucache plaintext buffers) can index it without a map. way is -1 on a
 // miss.
 func (c *Cache) LookupWay(set int, tag Tag) (way int, hit bool) {
-	ws := c.lines[set]
+	ws := c.lines(set)
 	for w := range ws {
 		if ws[w].Valid && ws[w].Tag == tag {
-			c.state[set].Touch(w)
-			c.stats.Hits++
+			c.touch(c.repl(set), w)
+			c.s.Stats.Hits++
 			return w, true
 		}
 	}
-	c.stats.Misses++
+	c.s.Stats.Misses++
 	return -1, false
 }
 
@@ -182,7 +198,7 @@ func (c *Cache) Contains(set int, tag Tag) bool {
 // WayOf returns the way holding tag without updating replacement state or
 // stats (Contains with the way exposed). way is -1 when absent.
 func (c *Cache) WayOf(set int, tag Tag) (way int, ok bool) {
-	ws := c.lines[set]
+	ws := c.lines(set)
 	for w := range ws {
 		if ws[w].Valid && ws[w].Tag == tag {
 			return w, true
@@ -194,7 +210,7 @@ func (c *Cache) WayOf(set int, tag Tag) (way int, ok bool) {
 // MarkDirty sets the dirty bit of a resident line. It reports whether the
 // line was present.
 func (c *Cache) MarkDirty(set int, tag Tag) bool {
-	ws := c.lines[set]
+	ws := c.lines(set)
 	for w := range ws {
 		if ws[w].Valid && ws[w].Tag == tag {
 			ws[w].Dirty = true
@@ -216,12 +232,12 @@ func (c *Cache) Insert(set int, tag Tag, dirty bool) (evicted Line) {
 // InsertWay is Insert returning the way the line landed in, so callers with
 // dense [set][way] side data can place the line's payload without a map.
 func (c *Cache) InsertWay(set int, tag Tag, dirty bool) (way int, evicted Line) {
-	ws := c.lines[set]
+	ws := c.lines(set)
 	// Already present: refresh.
 	for w := range ws {
 		if ws[w].Valid && ws[w].Tag == tag {
 			ws[w].Dirty = ws[w].Dirty || dirty
-			c.state[set].Touch(w)
+			c.touch(c.repl(set), w)
 			return w, Line{}
 		}
 	}
@@ -229,25 +245,23 @@ func (c *Cache) InsertWay(set int, tag Tag, dirty bool) (way int, evicted Line) 
 	for w := range ws {
 		if !ws[w].Valid {
 			ws[w] = Line{Tag: tag, Valid: true, Dirty: dirty}
-			c.state[set].Fill(w)
-			c.stats.Fills++
+			c.fill(c.repl(set), w)
+			c.s.Stats.Fills++
 			return w, Line{}
 		}
 	}
 	// Evict a victim.
-	w := c.state[set].Victim()
-	if w < 0 || w >= c.ways {
-		panic(fmt.Sprintf("cache %s: policy %s returned victim way %d of %d", c.name, c.policy.Name(), w, c.ways))
-	}
+	r := c.repl(set)
+	w := c.victim(r)
 	evicted = ws[w]
-	c.stats.Evictions++
-	c.evBySet[set]++
+	c.s.Stats.Evictions++
+	c.s.EvBySet[set]++
 	if evicted.Dirty {
-		c.stats.WritebacksOut++
+		c.s.Stats.WritebacksOut++
 	}
 	ws[w] = Line{Tag: tag, Valid: true, Dirty: dirty}
-	c.state[set].Fill(w)
-	c.stats.Fills++
+	c.fill(r, w)
+	c.s.Stats.Fills++
 	return w, evicted
 }
 
@@ -262,15 +276,15 @@ func (c *Cache) Invalidate(set int, tag Tag) Line {
 // InvalidateWay is Invalidate returning the way the line was removed from
 // (-1 when the tag was not resident).
 func (c *Cache) InvalidateWay(set int, tag Tag) (way int, removed Line) {
-	ws := c.lines[set]
+	ws := c.lines(set)
 	for w := range ws {
 		if ws[w].Valid && ws[w].Tag == tag {
 			l := ws[w]
 			ws[w] = Line{}
-			c.state[set].Invalidate(w)
-			c.stats.Invalidations++
+			c.invalidate(c.repl(set), w)
+			c.s.Stats.Invalidations++
 			if l.Dirty {
-				c.stats.WritebacksOut++
+				c.s.Stats.WritebacksOut++
 			}
 			return w, l
 		}
@@ -282,16 +296,16 @@ func (c *Cache) InvalidateWay(set int, tag Tag) (way int, removed Line) {
 // written back.
 func (c *Cache) FlushAll() []Line {
 	var dirty []Line
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			l := c.lines[s][w]
+	for set := 0; set < c.s.Sets; set++ {
+		ws := c.lines(set)
+		for w, l := range ws {
 			if l.Valid {
-				c.lines[s][w] = Line{}
-				c.state[s].Invalidate(w)
-				c.stats.Invalidations++
+				ws[w] = Line{}
+				c.invalidate(c.repl(set), w)
+				c.s.Stats.Invalidations++
 				if l.Dirty {
 					dirty = append(dirty, l)
-					c.stats.WritebacksOut++
+					c.s.Stats.WritebacksOut++
 				}
 			}
 		}
@@ -301,56 +315,28 @@ func (c *Cache) FlushAll() []Line {
 
 // Clone returns an independent deep copy of the cache — lines, replacement
 // state, statistics, and per-set eviction counters — for platform forking.
-// rng rebinds randomized policies (random, nru) to the fork's engine stream;
-// it may be nil for deterministic policies (the clone then shares the
-// original's random source, which forking never does).
+// Randomized policies (random, nru) draw the copy's victims from rng, which
+// must be the fork's engine stream; nil makes a frozen copy that holds no
+// random source and must be cloned again before it runs.
 func (c *Cache) Clone(rng *rand.Rand) *Cache {
-	policy := c.policy
-	if rng != nil {
-		// Rebind rng-bearing policies so future set states draw from the
-		// fork's stream. PolicyByName cannot fail here: c.policy.Name() is a
-		// registered name and rng is non-nil.
-		p, err := PolicyByName(c.policy.Name(), rng)
-		if err != nil {
-			panic(fmt.Sprintf("cache %s: cloning policy: %v", c.name, err))
-		}
-		policy = p
+	n := &Cache{s: c.s.clone(), kind: c.kind, words: c.words}
+	if c.kind.randomized() {
+		n.rng = rng
 	}
-	n := &Cache{
-		name:    c.name,
-		sets:    c.sets,
-		ways:    c.ways,
-		lines:   make([][]Line, c.sets),
-		state:   make([]SetState, c.sets),
-		policy:  policy,
-		stats:   c.stats,
-		evBySet: make([]uint64, c.sets),
-	}
-	flat := make([]Line, c.sets*c.ways) // one backing array keeps the copy dense
-	for s := range c.lines {
-		n.lines[s] = flat[s*c.ways : (s+1)*c.ways : (s+1)*c.ways]
-		copy(n.lines[s], c.lines[s])
-		n.state[s] = c.state[s].Clone(rng)
-	}
-	copy(n.evBySet, c.evBySet)
 	return n
 }
 
 // SetContents returns a copy of the lines in a set, for tests and tools.
 func (c *Cache) SetContents(set int) []Line {
-	out := make([]Line, c.ways)
-	copy(out, c.lines[set])
-	return out
+	return append([]Line(nil), c.lines(set)...)
 }
 
 // ValidCount returns the number of valid lines in the whole cache.
 func (c *Cache) ValidCount() int {
 	n := 0
-	for s := range c.lines {
-		for _, l := range c.lines[s] {
-			if l.Valid {
-				n++
-			}
+	for _, l := range c.s.Lines {
+		if l.Valid {
+			n++
 		}
 	}
 	return n

@@ -306,3 +306,46 @@ func TestStatsHitMissCounting(t *testing.T) {
 		t.Fatalf("stats not reset: %+v", st)
 	}
 }
+
+// TestFromStateValidatesImage pins FromState's checks on serialized images:
+// a valid export round-trips, and each kind of damage is an error.
+func TestFromStateValidatesImage(t *testing.T) {
+	image := func(p Policy, ways int) *State {
+		c := New("img", 4, ways, p)
+		for i := 0; i < 40; i++ {
+			c.Insert(i%4, Tag(i), i%3 == 0)
+		}
+		return c.ExportState()
+	}
+	for _, name := range []string{"lru", "tree-plru", "bit-plru", "nru", "srrip"} {
+		p, err := PolicyByName(name, rand.New(rand.NewPCG(1, 2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FromState(image(p, 4)); err != nil {
+			t.Fatalf("%s: valid image rejected: %v", name, err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		p      Policy
+		ways   int
+		damage func(st *State)
+	}{
+		{"zero sets", NewLRU(), 4, func(st *State) { st.Sets = 0 }},
+		{"short line slab", NewLRU(), 4, func(st *State) { st.Lines = st.Lines[1:] }},
+		{"short eviction counters", NewLRU(), 4, func(st *State) { st.EvBySet = st.EvBySet[1:] }},
+		{"unknown policy", NewLRU(), 4, func(st *State) { st.PolicyName = "mru" }},
+		{"short replacement slab", NewLRU(), 4, func(st *State) { st.Repl = st.Repl[1:] }},
+		{"non-power-of-two tree-plru", NewLRU(), 6, func(st *State) { st.PolicyName = "tree-plru"; st.Repl = st.Repl[:4] }},
+		{"tree-plru node bit out of range", NewTreePLRU(), 4, func(st *State) { st.Repl[2] |= 1 << 3 }},
+		{"bit-plru way bit out of range", NewBitPLRU(), 4, func(st *State) { st.Repl[1] |= 1 << 4 }},
+		{"srrip rrpv out of range", NewSRRIP(), 4, func(st *State) { st.Repl[5] = srripMax + 1 }},
+	} {
+		st := image(tc.p, tc.ways)
+		tc.damage(st)
+		if _, err := FromState(st); err == nil {
+			t.Errorf("%s: damaged image accepted", tc.name)
+		}
+	}
+}

@@ -2,349 +2,281 @@ package cache
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
-// Policy constructs per-set replacement state. Implementations must be
-// deterministic given the engine's seeded random source.
-type Policy interface {
-	Name() string
-	NewSetState(ways int) SetState
+// policyKind enumerates the replacement policies. Each keeps a fixed number
+// of replacement words per set (see words) in the cache's flat slab.
+type policyKind uint8
+
+const (
+	kindLRU policyKind = iota
+	kindFIFO
+	kindTreePLRU
+	kindBitPLRU
+	kindRandom
+	kindNRU
+	kindSRRIP
+)
+
+var policyNames = [...]string{
+	kindLRU:      "lru",
+	kindFIFO:     "fifo",
+	kindTreePLRU: "tree-plru",
+	kindBitPLRU:  "bit-plru",
+	kindRandom:   "random",
+	kindNRU:      "nru",
+	kindSRRIP:    "srrip",
 }
 
-// SetState is the replacement bookkeeping for one set.
-type SetState interface {
-	// Touch records a reference to way (hit).
-	Touch(way int)
-	// Fill records that way was (re)filled with a new line. Policies that
-	// distinguish insertion from reference (FIFO) use this; others treat it
-	// as Touch.
-	Fill(way int)
-	// Victim returns the way to evict. All ways are valid when called.
-	Victim() int
-	// Invalidate clears state for way after the line is removed.
-	Invalidate(way int)
-	// Clone returns an independent deep copy for platform forking. Policies
-	// that draw randomness (random, nru) bind the copy to rng so the fork
-	// consumes its own engine's stream; deterministic policies ignore it.
-	Clone(rng *rand.Rand) SetState
-	// SaveWords flattens the replacement state into a word vector for
-	// serialization. LoadWords restores it into a state freshly built by the
-	// same policy with the same associativity; it rejects vectors whose
-	// length does not match what SaveWords produces. Random sources are not
-	// part of the vector — they are rebound by Clone at fork time.
-	SaveWords() []uint64
-	LoadWords(ws []uint64) error
+// srripMax is SRRIP's distant re-reference prediction value (2-bit RRPV).
+const srripMax = 3
+
+// Policy selects a replacement policy. Randomized policies (random, nru)
+// carry the random source they draw victims from; pass the engine's seeded
+// source for reproducibility.
+type Policy struct {
+	kind policyKind
+	rng  *rand.Rand
 }
 
-// wordLenError reports a SaveWords/LoadWords length mismatch.
-func wordLenError(policy string, got, want int) error {
-	return fmt.Errorf("cache: %s state: %d words, want %d", policy, got, want)
-}
-
-// boolsToWords packs one bool per word (0/1); wordsToBools reverses it.
-func boolsToWords(bs []bool) []uint64 {
-	ws := make([]uint64, len(bs))
-	for i, b := range bs {
-		if b {
-			ws[i] = 1
-		}
-	}
-	return ws
-}
-
-func wordsToBools(dst []bool, ws []uint64) {
-	for i, w := range ws {
-		dst[i] = w != 0
-	}
-}
-
-// ---------------------------------------------------------------------------
-// True LRU
-
-type lruPolicy struct{}
+// Name returns the policy's registered name.
+func (p Policy) Name() string { return policyNames[p.kind] }
 
 // NewLRU returns a true least-recently-used policy.
-func NewLRU() Policy { return lruPolicy{} }
-
-func (lruPolicy) Name() string { return "lru" }
-func (lruPolicy) NewSetState(ways int) SetState {
-	return &lruState{stamp: make([]uint64, ways)}
-}
-
-type lruState struct {
-	stamp []uint64
-	tick  uint64
-}
-
-func (s *lruState) Touch(way int) { s.tick++; s.stamp[way] = s.tick }
-func (s *lruState) Fill(way int)  { s.Touch(way) }
-func (s *lruState) Victim() int {
-	best, bestStamp := 0, s.stamp[0]
-	for w := 1; w < len(s.stamp); w++ {
-		if s.stamp[w] < bestStamp {
-			best, bestStamp = w, s.stamp[w]
-		}
-	}
-	return best
-}
-func (s *lruState) Invalidate(way int) { s.stamp[way] = 0 }
-func (s *lruState) Clone(*rand.Rand) SetState {
-	c := &lruState{stamp: make([]uint64, len(s.stamp)), tick: s.tick}
-	copy(c.stamp, s.stamp)
-	return c
-}
-func (s *lruState) SaveWords() []uint64 {
-	return append([]uint64{s.tick}, s.stamp...)
-}
-func (s *lruState) LoadWords(ws []uint64) error {
-	if len(ws) != 1+len(s.stamp) {
-		return wordLenError("lru", len(ws), 1+len(s.stamp))
-	}
-	s.tick = ws[0]
-	copy(s.stamp, ws[1:])
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// FIFO
-
-type fifoPolicy struct{}
+func NewLRU() Policy { return Policy{kind: kindLRU} }
 
 // NewFIFO returns a first-in-first-out policy (insertion order, references
 // do not refresh).
-func NewFIFO() Policy { return fifoPolicy{} }
-
-func (fifoPolicy) Name() string { return "fifo" }
-func (fifoPolicy) NewSetState(ways int) SetState {
-	return &fifoState{stamp: make([]uint64, ways)}
-}
-
-type fifoState struct {
-	stamp []uint64
-	tick  uint64
-}
-
-func (s *fifoState) Touch(int)    {}
-func (s *fifoState) Fill(way int) { s.tick++; s.stamp[way] = s.tick }
-func (s *fifoState) Victim() int {
-	best, bestStamp := 0, s.stamp[0]
-	for w := 1; w < len(s.stamp); w++ {
-		if s.stamp[w] < bestStamp {
-			best, bestStamp = w, s.stamp[w]
-		}
-	}
-	return best
-}
-func (s *fifoState) Invalidate(way int) { s.stamp[way] = 0 }
-func (s *fifoState) Clone(*rand.Rand) SetState {
-	c := &fifoState{stamp: make([]uint64, len(s.stamp)), tick: s.tick}
-	copy(c.stamp, s.stamp)
-	return c
-}
-func (s *fifoState) SaveWords() []uint64 {
-	return append([]uint64{s.tick}, s.stamp...)
-}
-func (s *fifoState) LoadWords(ws []uint64) error {
-	if len(ws) != 1+len(s.stamp) {
-		return wordLenError("fifo", len(ws), 1+len(s.stamp))
-	}
-	s.tick = ws[0]
-	copy(s.stamp, ws[1:])
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Tree-PLRU ("approximate LRU", the default assumption for the MEE cache —
-// Section 5.3 of the paper). Requires power-of-two associativity.
-
-type treePLRUPolicy struct{}
+func NewFIFO() Policy { return Policy{kind: kindFIFO} }
 
 // NewTreePLRU returns a binary-tree pseudo-LRU policy, the classic
 // "approximate LRU" found in real hardware caches. The paper's two-phase
 // (forward+backward) eviction in Algorithm 2 exists precisely because a
 // single in-order pass over an eviction set does not reliably displace all
-// resident lines under this policy.
-func NewTreePLRU() Policy { return treePLRUPolicy{} }
-
-func (treePLRUPolicy) Name() string { return "tree-plru" }
-func (treePLRUPolicy) NewSetState(ways int) SetState {
-	if ways&(ways-1) != 0 {
-		panic(fmt.Sprintf("tree-plru requires power-of-two ways, got %d", ways))
-	}
-	return &treePLRUState{ways: ways, bits: make([]bool, ways-1)}
-}
-
-// treePLRUState stores the internal nodes of a complete binary tree over the
-// ways. bits[i] == false means "left subtree is older" (victim path goes
-// left); Touch flips the bits along the accessed way's path to point away
-// from it.
-type treePLRUState struct {
-	ways int
-	bits []bool
-}
-
-func (s *treePLRUState) Touch(way int) {
-	node := 0
-	// Walk from the root; at each level decide left/right from the way's
-	// bits (MSB first) and point the node away from the accessed half.
-	for span := s.ways / 2; span >= 1; span /= 2 {
-		right := way&span != 0
-		s.bits[node] = !right // point at the other half next time
-		if right {
-			node = 2*node + 2
-		} else {
-			node = 2*node + 1
-		}
-		if span == 1 {
-			break
-		}
-	}
-}
-
-func (s *treePLRUState) Fill(way int) { s.Touch(way) }
-
-func (s *treePLRUState) Victim() int {
-	node, way := 0, 0
-	for span := s.ways / 2; span >= 1; span /= 2 {
-		if s.bits[node] {
-			way |= span
-			node = 2*node + 2
-		} else {
-			node = 2*node + 1
-		}
-		if span == 1 {
-			break
-		}
-	}
-	return way
-}
-
-func (s *treePLRUState) Invalidate(int) {}
-func (s *treePLRUState) Clone(*rand.Rand) SetState {
-	c := &treePLRUState{ways: s.ways, bits: make([]bool, len(s.bits))}
-	copy(c.bits, s.bits)
-	return c
-}
-func (s *treePLRUState) SaveWords() []uint64 { return boolsToWords(s.bits) }
-func (s *treePLRUState) LoadWords(ws []uint64) error {
-	if len(ws) != len(s.bits) {
-		return wordLenError("tree-plru", len(ws), len(s.bits))
-	}
-	wordsToBools(s.bits, ws)
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Bit-PLRU (MRU bits)
-
-type bitPLRUPolicy struct{}
+// resident lines under this policy. Requires power-of-two associativity.
+func NewTreePLRU() Policy { return Policy{kind: kindTreePLRU} }
 
 // NewBitPLRU returns an MRU-bit pseudo-LRU policy: each reference sets the
 // way's MRU bit; when all bits would be set, the others are cleared. The
 // victim is the lowest way with a clear bit.
-func NewBitPLRU() Policy { return bitPLRUPolicy{} }
+func NewBitPLRU() Policy { return Policy{kind: kindBitPLRU} }
 
-func (bitPLRUPolicy) Name() string { return "bit-plru" }
-func (bitPLRUPolicy) NewSetState(ways int) SetState {
-	return &bitPLRUState{mru: make([]bool, ways)}
-}
+// NewRandom returns a random-replacement policy drawing from rng. Random
+// replacement is one of the mitigation candidates evaluated in the extension
+// experiments.
+func NewRandom(rng *rand.Rand) Policy { return Policy{kind: kindRandom, rng: rng} }
 
-type bitPLRUState struct{ mru []bool }
+// NewNRU returns a not-recently-used policy: one reference bit per way, the
+// victim drawn from rng among the clear-bit ways (avoiding positional bias);
+// when every bit is set, all others are cleared. Many embedded and GPU caches
+// use NRU.
+func NewNRU(rng *rand.Rand) Policy { return Policy{kind: kindNRU, rng: rng} }
 
-func (s *bitPLRUState) Touch(way int) {
-	s.mru[way] = true
-	for _, b := range s.mru {
-		if !b {
-			return
-		}
-	}
-	for w := range s.mru {
-		s.mru[w] = false
-	}
-	s.mru[way] = true
-}
-func (s *bitPLRUState) Fill(way int) { s.Touch(way) }
-func (s *bitPLRUState) Victim() int {
-	for w, b := range s.mru {
-		if !b {
-			return w
-		}
-	}
-	return 0
-}
-func (s *bitPLRUState) Invalidate(way int) { s.mru[way] = false }
-func (s *bitPLRUState) Clone(*rand.Rand) SetState {
-	c := &bitPLRUState{mru: make([]bool, len(s.mru))}
-	copy(c.mru, s.mru)
-	return c
-}
-func (s *bitPLRUState) SaveWords() []uint64 { return boolsToWords(s.mru) }
-func (s *bitPLRUState) LoadWords(ws []uint64) error {
-	if len(ws) != len(s.mru) {
-		return wordLenError("bit-plru", len(ws), len(s.mru))
-	}
-	wordsToBools(s.mru, ws)
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Random
-
-type randomPolicy struct{ rng *rand.Rand }
-
-// NewRandom returns a random-replacement policy drawing from rng (pass the
-// engine's seeded source for reproducibility). Random replacement is one of
-// the mitigation candidates evaluated in the extension experiments.
-func NewRandom(rng *rand.Rand) Policy { return &randomPolicy{rng: rng} }
-
-func (*randomPolicy) Name() string { return "random" }
-func (p *randomPolicy) NewSetState(ways int) SetState {
-	return &randomState{ways: ways, rng: p.rng}
-}
-
-type randomState struct {
-	ways int
-	rng  *rand.Rand
-}
-
-func (s *randomState) Touch(int)      {}
-func (s *randomState) Fill(int)       {}
-func (s *randomState) Victim() int    { return s.rng.IntN(s.ways) }
-func (s *randomState) Invalidate(int) {}
-func (s *randomState) Clone(rng *rand.Rand) SetState {
-	if rng == nil {
-		rng = s.rng // no rebind requested: keep drawing from the original
-	}
-	return &randomState{ways: s.ways, rng: rng}
-}
-func (s *randomState) SaveWords() []uint64 { return nil }
-func (s *randomState) LoadWords(ws []uint64) error {
-	if len(ws) != 0 {
-		return wordLenError("random", len(ws), 0)
-	}
-	return nil
-}
+// NewSRRIP returns a static re-reference interval prediction policy (Jaleel
+// et al., ISCA 2010), the scan-resistant replacement found in recent Intel
+// LLCs: 2-bit RRPVs, hits promote to 0, fills insert at srripMax-1, victims
+// are ways at srripMax (aging every way when none is).
+func NewSRRIP() Policy { return Policy{kind: kindSRRIP} }
 
 // PolicyByName constructs a policy from its name; random and nru need rng
 // (may be nil for the others). Recognized: lru, fifo, tree-plru, bit-plru,
 // random, nru, srrip.
 func PolicyByName(name string, rng *rand.Rand) (Policy, error) {
-	switch name {
-	case "lru":
-		return NewLRU(), nil
-	case "fifo":
-		return NewFIFO(), nil
-	case "tree-plru":
-		return NewTreePLRU(), nil
-	case "bit-plru":
-		return NewBitPLRU(), nil
-	case "random":
-		if rng == nil {
-			return nil, fmt.Errorf("cache: random policy requires a random source")
+	k, err := kindByName(name)
+	if err != nil {
+		return Policy{}, err
+	}
+	if k.randomized() && rng == nil {
+		return Policy{}, fmt.Errorf("cache: %s policy requires a random source", name)
+	}
+	if !k.randomized() {
+		rng = nil
+	}
+	return Policy{kind: k, rng: rng}, nil
+}
+
+func kindByName(name string) (policyKind, error) {
+	for k, n := range policyNames {
+		if n == name {
+			return policyKind(k), nil
 		}
-		return NewRandom(rng), nil
+	}
+	return 0, fmt.Errorf("cache: unknown replacement policy %q", name)
+}
+
+func (k policyKind) randomized() bool { return k == kindRandom || k == kindNRU }
+
+// words is the number of replacement words one set keeps:
+//
+//	lru, fifo           [tick, stamp_0 .. stamp_{ways-1}]
+//	tree-plru           [node bits]   (bit i = node i points right)
+//	bit-plru, nru       [way bits]    (bit w = way w referenced)
+//	srrip               [rrpv_0 .. rrpv_{ways-1}]
+//	random              none
+func (k policyKind) words(ways int) int {
+	switch k {
+	case kindLRU, kindFIFO:
+		return 1 + ways
+	case kindTreePLRU, kindBitPLRU, kindNRU:
+		return 1
+	case kindSRRIP:
+		return ways
+	}
+	return 0
+}
+
+// checkWays rejects associativities the policy's word layout cannot hold.
+func (k policyKind) checkWays(ways int) error {
+	switch k {
+	case kindTreePLRU, kindBitPLRU, kindNRU:
+		if ways > 64 {
+			return fmt.Errorf("%s supports at most 64 ways, got %d", policyNames[k], ways)
+		}
+		if k == kindTreePLRU && ways&(ways-1) != 0 {
+			return fmt.Errorf("tree-plru requires power-of-two ways, got %d", ways)
+		}
+	}
+	return nil
+}
+
+// initSlab writes a fresh cache's replacement words (every set empty).
+func (k policyKind) initSlab(r []uint64) {
+	if k == kindSRRIP {
+		for i := range r {
+			r[i] = srripMax
+		}
+	}
+}
+
+// wordLimit is the largest valid replacement word at this associativity —
+// the node or way bitmask, or the distant RRPV — for validating images.
+func (k policyKind) wordLimit(ways int) uint64 {
+	switch k {
+	case kindTreePLRU:
+		return wayMask(ways - 1)
+	case kindBitPLRU, kindNRU:
+		return wayMask(ways)
+	case kindSRRIP:
+		return srripMax
+	}
+	return math.MaxUint64
+}
+
+// wayMask has the low n bits set (0 <= n <= 64).
+func wayMask(n int) uint64 { return ^uint64(0) >> (64 - n) }
+
+// touch records a reference (hit) to way in set words r.
+func (c *Cache) touch(r []uint64, way int) {
+	switch c.kind {
+	case kindLRU:
+		r[0]++
+		r[1+way] = r[0]
+	case kindTreePLRU:
+		// Walk from the root, pointing each node on the way's path at the
+		// other half (MSB of the way index first).
+		m, node := r[0], 0
+		for span := c.s.Ways / 2; span >= 1; span /= 2 {
+			if way&span != 0 {
+				m &^= 1 << node
+				node = 2*node + 2
+			} else {
+				m |= 1 << node
+				node = 2*node + 1
+			}
+		}
+		r[0] = m
+	case kindBitPLRU, kindNRU:
+		m := r[0] | 1<<way
+		if m == wayMask(c.s.Ways) {
+			m = 1 << way // all referenced: keep only the newest
+		}
+		r[0] = m
+	case kindSRRIP:
+		r[way] = 0
+	}
+}
+
+// fill records that way was (re)filled with a new line. FIFO and SRRIP
+// distinguish insertion from reference; the others treat it as a touch.
+func (c *Cache) fill(r []uint64, way int) {
+	switch c.kind {
+	case kindLRU, kindFIFO:
+		r[0]++
+		r[1+way] = r[0]
+	case kindSRRIP:
+		r[way] = srripMax - 1
 	default:
-		return extendedPolicyByName(name, rng)
+		c.touch(r, way)
+	}
+}
+
+// victim returns the way to evict from a full set.
+func (c *Cache) victim(r []uint64) int {
+	switch c.kind {
+	case kindLRU, kindFIFO:
+		stamps := r[1:]
+		best, oldest := 0, stamps[0]
+		for w, s := range stamps {
+			if s < oldest {
+				best, oldest = w, s
+			}
+		}
+		return best
+	case kindTreePLRU:
+		m, node, way := r[0], 0, 0
+		for span := c.s.Ways / 2; span >= 1; span /= 2 {
+			if m&(1<<node) != 0 {
+				way |= span
+				node = 2*node + 2
+			} else {
+				node = 2*node + 1
+			}
+		}
+		return way
+	case kindBitPLRU:
+		if w := bits.TrailingZeros64(^r[0]); w < c.s.Ways {
+			return w
+		}
+		return 0
+	case kindRandom:
+		return c.rng.IntN(c.s.Ways)
+	case kindNRU:
+		// The k-th clear way, k drawn uniformly: one draw, no scratch.
+		free := ^r[0] & wayMask(c.s.Ways)
+		n := bits.OnesCount64(free)
+		if n == 0 {
+			return c.rng.IntN(c.s.Ways)
+		}
+		for k := c.rng.IntN(n); k > 0; k-- {
+			free &= free - 1
+		}
+		return bits.TrailingZeros64(free)
+	case kindSRRIP:
+		for {
+			for w, v := range r {
+				if v >= srripMax {
+					return w
+				}
+			}
+			for w := range r {
+				r[w]++
+			}
+		}
+	}
+	panic("cache: unknown policy")
+}
+
+// invalidate clears way's replacement state after its line is removed.
+func (c *Cache) invalidate(r []uint64, way int) {
+	switch c.kind {
+	case kindLRU, kindFIFO:
+		r[1+way] = 0
+	case kindBitPLRU, kindNRU:
+		r[0] &^= 1 << way
+	case kindSRRIP:
+		r[way] = srripMax
 	}
 }

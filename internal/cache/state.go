@@ -1,97 +1,68 @@
 package cache
 
-import (
-	"fmt"
-	"math/rand/v2"
-)
+import "fmt"
 
-// State is the serializable image of a Cache: geometry, policy name, line
-// directory, per-set replacement words, statistics, and per-set eviction
-// counters. It contains no pointers into the live cache and no random
-// sources; FromState rebuilds an equivalent frozen cache from it.
+// State is a Cache's whole copyable image — geometry, policy name, the flat
+// line and replacement slabs, statistics, and per-set eviction counters. A
+// live cache keeps its contents in one; Clone, ExportState and FromState
+// all copy it the same way. It contains no random sources: FromState builds
+// a frozen cache that a Clone(rng) rebinds before any victim is drawn.
 type State struct {
 	Name       string
 	Sets, Ways int
 	PolicyName string
-	Lines      []Line     // dense [set*ways+way]
-	SetWords   [][]uint64 // per-set SaveWords vectors
+	Lines      []Line   // dense [set*Ways+way]
+	Repl       []uint64 // replacement words, a fixed count per set by policy
 	Stats      Stats
 	EvBySet    []uint64
+}
+
+// clone deep-copies the image's slabs.
+func (st *State) clone() State {
+	n := *st
+	n.Lines = append([]Line(nil), st.Lines...)
+	n.Repl = append([]uint64(nil), st.Repl...)
+	n.EvBySet = append([]uint64(nil), st.EvBySet...)
+	return n
 }
 
 // ExportState captures the cache as a State. The image is a deep copy; the
 // cache may keep running afterwards.
 func (c *Cache) ExportState() *State {
-	st := &State{
-		Name:       c.name,
-		Sets:       c.sets,
-		Ways:       c.ways,
-		PolicyName: c.policy.Name(),
-		Lines:      make([]Line, c.sets*c.ways),
-		SetWords:   make([][]uint64, c.sets),
-		Stats:      c.stats,
-		EvBySet:    make([]uint64, c.sets),
-	}
-	for s := range c.lines {
-		copy(st.Lines[s*c.ways:(s+1)*c.ways], c.lines[s])
-		st.SetWords[s] = c.state[s].SaveWords()
-	}
-	copy(st.EvBySet, c.evBySet)
-	return st
+	st := c.s.clone()
+	return &st
 }
 
-// FromState rebuilds a cache from a State image. rng rebinds randomized
-// policies (random, nru); it may be nil, in which case those policies get a
-// private throwaway source — safe for frozen copies that never run, because
-// Clone(rng) at fork time rebinds them to the fork's engine stream before
-// any victim is drawn. All geometry and vector lengths are validated, so a
-// corrupted image returns an error rather than panicking downstream.
-func FromState(st *State, rng *rand.Rand) (*Cache, error) {
+// FromState rebuilds a frozen cache from a State image: it holds no random
+// source, so randomized policies must be rebound with Clone(rng) before the
+// cache runs. Geometry, slab lengths and replacement words are validated,
+// so a corrupted image returns an error rather than panicking downstream.
+func FromState(st *State) (*Cache, error) {
 	if st.Sets <= 0 || st.Ways <= 0 {
 		return nil, fmt.Errorf("cache %s: invalid geometry %dx%d", st.Name, st.Sets, st.Ways)
 	}
 	if len(st.Lines) != st.Sets*st.Ways {
 		return nil, fmt.Errorf("cache %s: %d lines, want %d", st.Name, len(st.Lines), st.Sets*st.Ways)
 	}
-	if len(st.SetWords) != st.Sets {
-		return nil, fmt.Errorf("cache %s: %d set-word vectors, want %d", st.Name, len(st.SetWords), st.Sets)
-	}
 	if len(st.EvBySet) != st.Sets {
 		return nil, fmt.Errorf("cache %s: %d eviction counters, want %d", st.Name, len(st.EvBySet), st.Sets)
 	}
-	if st.PolicyName == "tree-plru" && st.Ways&(st.Ways-1) != 0 {
-		return nil, fmt.Errorf("cache %s: tree-plru requires power-of-two ways, got %d", st.Name, st.Ways)
-	}
-	policy, err := PolicyByName(st.PolicyName, rng)
+	kind, err := kindByName(st.PolicyName)
 	if err != nil {
-		if rng != nil {
-			return nil, fmt.Errorf("cache %s: %w", st.Name, err)
-		}
-		policy, err = PolicyByName(st.PolicyName, rand.New(rand.NewPCG(0, 0)))
-		if err != nil {
-			return nil, fmt.Errorf("cache %s: %w", st.Name, err)
+		return nil, fmt.Errorf("cache %s: %w", st.Name, err)
+	}
+	if err := kind.checkWays(st.Ways); err != nil {
+		return nil, fmt.Errorf("cache %s: %w", st.Name, err)
+	}
+	words := kind.words(st.Ways)
+	if len(st.Repl) != st.Sets*words {
+		return nil, fmt.Errorf("cache %s: %d replacement words, want %d", st.Name, len(st.Repl), st.Sets*words)
+	}
+	limit := kind.wordLimit(st.Ways)
+	for i, v := range st.Repl {
+		if v > limit {
+			return nil, fmt.Errorf("cache %s set %d: %s replacement word %#x exceeds %#x", st.Name, i/words, st.PolicyName, v, limit)
 		}
 	}
-	c := &Cache{
-		name:    st.Name,
-		sets:    st.Sets,
-		ways:    st.Ways,
-		lines:   make([][]Line, st.Sets),
-		state:   make([]SetState, st.Sets),
-		policy:  policy,
-		stats:   st.Stats,
-		evBySet: make([]uint64, st.Sets),
-	}
-	flat := make([]Line, st.Sets*st.Ways)
-	copy(flat, st.Lines)
-	for s := range c.lines {
-		c.lines[s] = flat[s*st.Ways : (s+1)*st.Ways : (s+1)*st.Ways]
-		ss := policy.NewSetState(st.Ways)
-		if err := ss.LoadWords(st.SetWords[s]); err != nil {
-			return nil, fmt.Errorf("cache %s set %d: %w", st.Name, s, err)
-		}
-		c.state[s] = ss
-	}
-	copy(c.evBySet, st.EvBySet)
-	return c, nil
+	return &Cache{s: st.clone(), kind: kind, words: words}, nil
 }

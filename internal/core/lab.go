@@ -17,7 +17,8 @@ type Options struct {
 	// (sequential / chunked / shuffled).
 	EPCMode enclave.AllocMode
 	// MEEPolicy overrides the MEE cache replacement policy by name
-	// ("tree-plru" if empty; "lru", "bit-plru", "fifo", "random").
+	// ("lru" if empty; "fifo", "tree-plru", "bit-plru", "random", "nru",
+	// "srrip").
 	MEEPolicy string
 	// RandomEvictProb enables the MEE noise-injection mitigation.
 	RandomEvictProb float64
@@ -39,7 +40,7 @@ type Options struct {
 func (o Options) platformConfig() platform.Config {
 	cfg := platform.DefaultConfig(o.Seed)
 	cfg.EPCMode = o.EPCMode
-	cfg.MEEPolicyName = o.MEEPolicy
+	cfg.MEE.Policy = o.MEEPolicy
 	cfg.MEE.RandomEvictProb = o.RandomEvictProb
 	if o.SpikeProb >= 0 {
 		cfg.SpikeProb = o.SpikeProb

@@ -33,8 +33,8 @@ func TestOptionsPlatformConfig(t *testing.T) {
 	if cfg.MEE.CacheSets != 64 || cfg.MEE.CacheWays != 4 {
 		t.Fatalf("geometry override lost: %d/%d", cfg.MEE.CacheSets, cfg.MEE.CacheWays)
 	}
-	if cfg.MEEPolicyName != "srrip" {
-		t.Fatalf("policy %q", cfg.MEEPolicyName)
+	if cfg.MEE.Policy != "srrip" {
+		t.Fatalf("policy %q", cfg.MEE.Policy)
 	}
 	if cfg.MEE.RandomEvictProb != 0.1 {
 		t.Fatal("random-evict override lost")

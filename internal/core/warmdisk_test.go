@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"reflect"
 	"sync"
 	"testing"
@@ -177,5 +179,59 @@ func TestWarmCacheDiskTier(t *testing.T) {
 	}
 	if !reflect.DeepEqual(refA, gotA) {
 		t.Fatal("disk-tier warm state diverged from original")
+	}
+}
+
+// TestWarmCacheRecomputesOldVersionBlob pins the disk tier's handling of a
+// wire-format bump: a warm state spilled by a Version 1 writer is rejected
+// by DecodeWarmState, and WarmCache recomputes the warm phase instead of
+// failing the caller.
+func TestWarmCacheRecomputesOldVersionBlob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full channel runs in -short mode")
+	}
+	cfg := DefaultChannelConfig(8)
+	cfg.Bits = AlternatingBits(8)
+	ws, err := WarmChannel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ws.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reseal the payload as the Version 1 writer would have.
+	body := append([]byte(nil), blob[:len(blob)-sha256.Size]...)
+	binary.LittleEndian.PutUint32(body[len("MEECSNP\x00"):], 1)
+	sum := sha256.Sum256(body)
+	old := append(body, sum[:]...)
+	if _, err := DecodeWarmState(old); err == nil {
+		t.Fatal("version 1 warm blob decoded without error")
+	}
+
+	store, err := snapstore.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyed := cfg
+	keyed.applyDefaults()
+	if err := store.Put(diskKey(warmKey(keyed)), old); err != nil {
+		t.Fatal(err)
+	}
+	c := NewWarmCache(1)
+	c.AttachStore(store)
+	got, err := c.Warm(cfg)
+	if err != nil {
+		t.Fatalf("Warm over a version 1 blob: %v", err)
+	}
+	if st := c.Stats(); st.Computes != 1 || st.DiskLoads != 0 {
+		t.Fatalf("stats %+v, want 1 compute and 0 disk loads", st)
+	}
+	want, err := ws.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := got.Run(cfg); err != nil || !reflect.DeepEqual(res, want) {
+		t.Fatalf("recomputed warm state diverged (err %v)", err)
 	}
 }

@@ -3,7 +3,6 @@ package cpucache
 import (
 	"testing"
 
-	"meecc/internal/cache"
 	"meecc/internal/dram"
 	"meecc/internal/obs"
 )
@@ -11,7 +10,7 @@ import (
 // TestWarmAccessAllocFree pins the hierarchy's allocation-free fast path:
 // hits at any level must not touch the heap.
 func TestWarmAccessAllocFree(t *testing.T) {
-	h := New(DefaultConfig(2), cache.NewLRU())
+	h := New(DefaultConfig(2))
 	var line [dram.LineSize]byte
 	h.Fill(0, 0x1000, line, false)
 	h.Fill(0, 0x2000, line, false)
@@ -31,7 +30,7 @@ func TestWarmAccessAllocFree(t *testing.T) {
 // instrumentation attached: the hierarchy's metrics are deferred samples plus
 // pool counters, so enabling them must not move the allocation needle.
 func TestWarmAccessAllocFreeWithMetrics(t *testing.T) {
-	h := New(DefaultConfig(2), cache.NewLRU())
+	h := New(DefaultConfig(2))
 	o := obs.NewObserver()
 	h.Observe(o)
 	var line [dram.LineSize]byte
@@ -64,12 +63,12 @@ func TestWarmAccessAllocFreeWithMetrics(t *testing.T) {
 // per-line clone loop would fail this immediately.
 func TestForkAllocsIndependentOfResidency(t *testing.T) {
 	forkAllocs := func(lines int) float64 {
-		h := New(DefaultConfig(2), cache.NewLRU())
+		h := New(DefaultConfig(2))
 		var line [dram.LineSize]byte
 		for i := 0; i < lines; i++ {
 			h.Fill(0, dram.Addr(0x10000+i*dram.LineSize), line, i%2 == 0)
 		}
-		return testing.AllocsPerRun(20, func() { h.Fork(nil) })
+		return testing.AllocsPerRun(20, func() { h.Fork() })
 	}
 	few, many := forkAllocs(2), forkAllocs(512)
 	if few != many {
@@ -81,7 +80,7 @@ func TestForkAllocsIndependentOfResidency(t *testing.T) {
 // lineBuf pool has reached its high-water mark, Fill and Flush recycle
 // buffers and reuse the scratch Victim instead of allocating.
 func TestFillFlushSteadyStateAllocFree(t *testing.T) {
-	h := New(DefaultConfig(1), cache.NewLRU())
+	h := New(DefaultConfig(1))
 	var line [dram.LineSize]byte
 	addr := func(i int) dram.Addr { return dram.Addr(0x10000 + i*dram.LineSize) }
 	for i := 0; i < 64; i++ { // warm-up grows the pool

@@ -13,7 +13,6 @@ package cpucache
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"meecc/internal/cache"
 	"meecc/internal/dram"
@@ -143,9 +142,8 @@ func (h *Hierarchy) countDrop() { h.freeBufs++ }
 // allCores is the mask with every core's bit set.
 func (h *Hierarchy) allCores() uint16 { return uint16(1)<<h.cfg.Cores - 1 }
 
-// New builds the hierarchy; policy applies to all levels (LRU by default in
-// the platform).
-func New(cfg Config, policy cache.Policy) *Hierarchy {
+// New builds the hierarchy. Every level uses true LRU replacement.
+func New(cfg Config) *Hierarchy {
 	if cfg.Cores <= 0 {
 		panic(fmt.Sprintf("cpucache: invalid core count %d", cfg.Cores))
 	}
@@ -154,31 +152,30 @@ func New(cfg Config, policy cache.Policy) *Hierarchy {
 	}
 	h := &Hierarchy{
 		cfg:  cfg,
-		llc:  cache.New("llc", cfg.LLCSets, cfg.LLCWays, policy),
+		llc:  cache.New("llc", cfg.LLCSets, cfg.LLCWays, cache.NewLRU()),
 		bufs: make([]lineBuf, cfg.LLCSets*cfg.LLCWays),
 	}
 	for c := 0; c < cfg.Cores; c++ {
-		h.l1 = append(h.l1, cache.New(fmt.Sprintf("l1d-%d", c), cfg.L1Sets, cfg.L1Ways, policy))
-		h.l2 = append(h.l2, cache.New(fmt.Sprintf("l2-%d", c), cfg.L2Sets, cfg.L2Ways, policy))
+		h.l1 = append(h.l1, cache.New(fmt.Sprintf("l1d-%d", c), cfg.L1Sets, cfg.L1Ways, cache.NewLRU()))
+		h.l2 = append(h.l2, cache.New(fmt.Sprintf("l2-%d", c), cfg.L2Sets, cfg.L2Ways, cache.NewLRU()))
 	}
 	return h
 }
 
 // Fork returns an independent deep copy of the hierarchy — every cache
 // level's lines, replacement state and statistics, plus the plaintext line
-// buffers — for platform forking. rng rebinds randomized replacement
-// policies to the fork's stream. Observability is not carried over.
-func (h *Hierarchy) Fork(rng *rand.Rand) *Hierarchy {
+// buffers — for platform forking. Observability is not carried over.
+func (h *Hierarchy) Fork() *Hierarchy {
 	n := &Hierarchy{
 		cfg:  h.cfg,
-		llc:  h.llc.Clone(rng),
+		llc:  h.llc.Clone(nil),
 		bufs: make([]lineBuf, len(h.bufs)),
 	}
 	for _, c := range h.l1 {
-		n.l1 = append(n.l1, c.Clone(rng))
+		n.l1 = append(n.l1, c.Clone(nil))
 	}
 	for _, c := range h.l2 {
-		n.l2 = append(n.l2, c.Clone(rng))
+		n.l2 = append(n.l2, c.Clone(nil))
 	}
 	copy(n.bufs, h.bufs) // value slab: one memcpy clones every resident line
 	return n

@@ -3,12 +3,11 @@ package cpucache
 import (
 	"testing"
 
-	"meecc/internal/cache"
 	"meecc/internal/dram"
 )
 
 func newH() *Hierarchy {
-	return New(DefaultConfig(4), cache.NewLRU())
+	return New(DefaultConfig(4))
 }
 
 func line(val byte) (l [dram.LineSize]byte) {
@@ -114,7 +113,7 @@ func TestInclusiveLLCEvictionBackInvalidates(t *testing.T) {
 	cfg := DefaultConfig(2)
 	// Tiny LLC: 1 set, 2 ways, so the third distinct line evicts.
 	cfg.LLCSets, cfg.LLCWays = 1, 2
-	h := New(cfg, cache.NewLRU())
+	h := New(cfg)
 	h.Fill(0, 0x0000, line(1), false)
 	h.Fill(0, 0x1000, line(2), false)
 	v := h.Fill(0, 0x2000, line(3), false)
@@ -131,7 +130,7 @@ func TestInclusiveLLCEvictionBackInvalidates(t *testing.T) {
 func TestDirtyLLCVictimCarriesData(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.LLCSets, cfg.LLCWays = 1, 1
-	h := New(cfg, cache.NewLRU())
+	h := New(cfg)
 	h.Fill(0, 0x0000, line(1), false)
 	h.Access(0, 0x0000, true)
 	h.Data(0x0000)[0] = 0xAA

@@ -44,9 +44,9 @@ func (h *Hierarchy) ExportState() *State {
 	return st
 }
 
-// HierarchyFromState rebuilds a frozen hierarchy from a serialized image.
-// The result never runs directly — Fork rebinds randomized policies to a
-// live engine stream. Geometry mismatches against cfg are errors.
+// HierarchyFromState rebuilds a hierarchy from a serialized image; it runs
+// through Fork like any snapshot copy. Geometry mismatches against cfg are
+// errors.
 func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("cpucache: invalid core count %d", cfg.Cores)
@@ -61,7 +61,7 @@ func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 		return nil, fmt.Errorf("cpucache: LLC state %dx%d does not match config %dx%d",
 			st.LLC.Sets, st.LLC.Ways, cfg.LLCSets, cfg.LLCWays)
 	}
-	llc, err := cache.FromState(st.LLC, nil)
+	llc, err := cache.FromState(st.LLC)
 	if err != nil {
 		return nil, fmt.Errorf("cpucache: %w", err)
 	}
@@ -78,11 +78,11 @@ func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 			st.L2[i].Sets != cfg.L2Sets || st.L2[i].Ways != cfg.L2Ways {
 			return nil, fmt.Errorf("cpucache: core %d private cache geometry mismatch", i)
 		}
-		l1, err := cache.FromState(st.L1[i], nil)
+		l1, err := cache.FromState(st.L1[i])
 		if err != nil {
 			return nil, fmt.Errorf("cpucache: %w", err)
 		}
-		l2, err := cache.FromState(st.L2[i], nil)
+		l2, err := cache.FromState(st.L2[i])
 		if err != nil {
 			return nil, fmt.Errorf("cpucache: %w", err)
 		}

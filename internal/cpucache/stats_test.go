@@ -3,14 +3,13 @@ package cpucache
 import (
 	"testing"
 
-	"meecc/internal/cache"
 	"meecc/internal/dram"
 )
 
 func TestPerSetEvictionCounting(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.LLCSets, cfg.LLCWays = 4, 2
-	h := New(cfg, cache.NewLRU())
+	h := New(cfg)
 	// Hammer set 0: addresses stride LLCSets*64 bytes.
 	stride := dram.Addr(4 * 64)
 	for i := 0; i < 10; i++ {
@@ -37,7 +36,7 @@ func TestPerSetEvictionCounting(t *testing.T) {
 }
 
 func TestInvalidateOthersKeepsWriterCopy(t *testing.T) {
-	h := New(DefaultConfig(4), cache.NewLRU())
+	h := New(DefaultConfig(4))
 	h.Fill(0, 0x9000, [64]byte{}, false)
 	h.Access(1, 0x9000, false) // core 1 promotes a copy
 	h.Access(0, 0x9000, true)  // core 0 writes -> invalidates core 1
@@ -50,7 +49,7 @@ func TestInvalidateOthersKeepsWriterCopy(t *testing.T) {
 }
 
 func TestWriteMissFillsDirty(t *testing.T) {
-	h := New(DefaultConfig(5), cache.NewLRU())
+	h := New(DefaultConfig(5))
 	if lv, _ := h.Access(0, 0xA000, true); lv != Miss {
 		t.Fatal("expected write miss")
 	}

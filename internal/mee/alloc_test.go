@@ -21,7 +21,7 @@ func TestWarmReadDataAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(DefaultConfig(rng), geom, itree.NewCrypto([16]byte{1, 2, 3}), mem)
+	eng := New(DefaultConfig(), geom, itree.NewCrypto([16]byte{1, 2, 3}), mem, rng)
 	addr := geom.DataBase
 	var now sim.Cycles
 
@@ -51,7 +51,7 @@ func TestWarmReadDataAllocFreeWithMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(DefaultConfig(rng), geom, itree.NewCrypto([16]byte{7, 8, 9}), mem)
+	eng := New(DefaultConfig(), geom, itree.NewCrypto([16]byte{7, 8, 9}), mem, rng)
 	o := obs.NewObserver().WithTracer(1 << 10)
 	eng.Observe(o)
 	addr := geom.DataBase
@@ -88,7 +88,7 @@ func TestForkAllocsIndependentOfResidency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := New(DefaultConfig(rng), geom, itree.NewCrypto([16]byte{9, 9, 9}), mem)
+		eng := New(DefaultConfig(), geom, itree.NewCrypto([16]byte{9, 9, 9}), mem, rng)
 		var now sim.Cycles
 		for i := 0; i < lines; i++ {
 			now += 100000
@@ -116,7 +116,7 @@ func TestSteadyStateReadDataAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(DefaultConfig(rng), geom, itree.NewCrypto([16]byte{4, 5, 6}), mem)
+	eng := New(DefaultConfig(), geom, itree.NewCrypto([16]byte{4, 5, 6}), mem, rng)
 	var now sim.Cycles
 
 	// Stride by the data span of one versions line so every read lands on a

@@ -83,17 +83,18 @@ type Config struct {
 	// tags/levels) of 8 ways — the organization §4 reverse-engineers.
 	CacheSets int
 	CacheWays int
-	// Policy is the replacement policy. The paper assumes "approximate
-	// LRU"; we default to true LRU because it reproduces the paper's
-	// phenomenology exactly — in the 9-line/8-way musical chairs of
-	// Algorithm 2, a single forward pass evicts the spy's monitor line only
-	// ~half the time (the eviction cascade can close on an already-visited
-	// line), while the forward+backward two-phase pass makes the monitor
-	// the oldest line by the backward miss and evicts it deterministically.
-	// That is precisely the failure mode §5.3's two-phase design exists to
-	// fix. Tree-PLRU is available for ablations; being only path-wise
-	// recency-aware, it can lock into cycles that never evict the monitor.
-	Policy cache.Policy
+	// Policy names the replacement policy ("" selects lru; the names are
+	// cache.PolicyByName's). The paper assumes "approximate LRU"; we default
+	// to true LRU because it reproduces the paper's phenomenology exactly —
+	// in the 9-line/8-way musical chairs of Algorithm 2, a single forward
+	// pass evicts the spy's monitor line only ~half the time (the eviction
+	// cascade can close on an already-visited line), while the
+	// forward+backward two-phase pass makes the monitor the oldest line by
+	// the backward miss and evicts it deterministically. That is precisely
+	// the failure mode §5.3's two-phase design exists to fix. Tree-PLRU is
+	// available for ablations; being only path-wise recency-aware, it can
+	// lock into cycles that never evict the monitor.
+	Policy string
 
 	// PipelineBase is the mean cost (cycles) of the MEE pipeline itself —
 	// decryption, MAC checks, queueing inside the unit — added to every
@@ -120,18 +121,24 @@ type Config struct {
 // DefaultConfig returns the reverse-engineered organization (64 KB, 8-way,
 // 128 sets — Section 4) with timing calibrated to Figure 5: ~480 cycles for
 // a versions hit, ~+270 per additional tree level fetched.
-func DefaultConfig(rng *rand.Rand) Config {
-	_ = rng // accepted for symmetry with policies that need randomness
+func DefaultConfig() Config {
 	return Config{
 		CacheSets:     128,
 		CacheWays:     8,
-		Policy:        cache.NewLRU(),
 		PipelineBase:  230,
 		LevelCheck:    20,
 		WriteExtra:    60,
 		PortOccupancy: 120,
 		JitterSigma:   8,
 	}
+}
+
+// policyName resolves the replacement policy's name, defaulting to lru.
+func (c Config) policyName() string {
+	if c.Policy == "" {
+		return "lru"
+	}
+	return c.Policy
 }
 
 // Stats counts MEE events.
@@ -267,17 +274,23 @@ func (e *Engine) countInstall() {
 
 func (e *Engine) countDrop() { e.freeBufs++ }
 
-// New builds an MEE over the given geometry, crypto, and DRAM.
-func New(cfg Config, geom itree.Geometry, crypt *itree.Crypto, mem *dram.DRAM) *Engine {
+// New builds an MEE over the given geometry, crypto, and DRAM. rng is the
+// engine's seeded stream, which randomized replacement policies draw their
+// victims from. It panics on an unknown policy name.
+func New(cfg Config, geom itree.Geometry, crypt *itree.Crypto, mem *dram.DRAM, rng *rand.Rand) *Engine {
 	if cfg.CacheSets%2 != 0 {
 		panic("mee: cache sets must be even (odd/even split)")
+	}
+	policy, err := cache.PolicyByName(cfg.policyName(), rng)
+	if err != nil {
+		panic(fmt.Sprintf("mee: %v", err))
 	}
 	return &Engine{
 		cfg:         cfg,
 		geom:        geom,
 		crypt:       crypt,
 		mem:         mem,
-		cache:       cache.New("mee", cfg.CacheSets, cfg.CacheWays, cfg.Policy),
+		cache:       cache.New("mee", cfg.CacheSets, cfg.CacheWays, policy),
 		bufs:        make([]nodeBuf, cfg.CacheSets*cfg.CacheWays),
 		root:        make([]uint64, geom.RootCounters),
 		initialized: make([]uint64, (geom.PRMSize/itree.LineSize+63)/64),
@@ -299,9 +312,8 @@ func (e *Engine) initBit(addr dram.Addr) (word int, mask uint64) {
 // counters, init bitmap, port, and statistics all carry over. The copy gets
 // its own crypto scratch (same keys); mem rebinds it to the fork's DRAM
 // view; rng rebinds randomized replacement policies and must be the forked
-// engine's stream (nil keeps the source policy's stream — only valid for
-// frozen intermediate copies that never run). Observability is not carried
-// over — attach via Observe if needed.
+// engine's stream (nil only for frozen intermediate copies that never run).
+// Observability is not carried over — attach via Observe if needed.
 func (e *Engine) Fork(mem *dram.DRAM, rng *rand.Rand) *Engine {
 	n := &Engine{
 		cfg:         e.cfg,

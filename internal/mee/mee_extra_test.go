@@ -36,22 +36,22 @@ func TestIntegrityErrorMessage(t *testing.T) {
 
 func TestOddSetCountRejected(t *testing.T) {
 	f := newFixture(t)
-	cfg := DefaultConfig(f.rng)
+	cfg := DefaultConfig()
 	cfg.CacheSets = 127
 	defer func() {
 		if recover() == nil {
 			t.Fatal("odd set count accepted")
 		}
 	}()
-	New(cfg, *f.eng.Geometry(), itree.NewCrypto([16]byte{1}), f.mem)
+	New(cfg, *f.eng.Geometry(), itree.NewCrypto([16]byte{1}), f.mem, f.rng)
 }
 
 func TestRandomEvictInjectionDegradesHitRate(t *testing.T) {
 	measure := func(prob float64) uint64 {
 		rngFix := newFixture(t)
-		cfg := DefaultConfig(rngFix.rng)
+		cfg := DefaultConfig()
 		cfg.RandomEvictProb = prob
-		eng := New(cfg, *rngFix.eng.Geometry(), itree.NewCrypto([16]byte{2}), dram.New(dram.DefaultConfig()))
+		eng := New(cfg, *rngFix.eng.Geometry(), itree.NewCrypto([16]byte{2}), dram.New(dram.DefaultConfig()), rngFix.rng)
 		now := rngFix.now
 		addr := eng.Geometry().DataBase
 		// Re-access the same line repeatedly; without injection every

@@ -67,7 +67,8 @@ func (e *Engine) ExportState() *State {
 // geom, and crypt come from the platform-level decode (they are derived from
 // the machine config and master key, not stored per-engine); the result has
 // no DRAM binding and never runs — Fork rebinds it to a live memory and RNG.
-// Geometry mismatches between cfg and the image are reported as errors.
+// Geometry or policy mismatches between cfg and the image are reported as
+// errors.
 func EngineFromState(cfg Config, geom itree.Geometry, crypt *itree.Crypto, st *State) (*Engine, error) {
 	if st.Cache == nil {
 		return nil, fmt.Errorf("mee: missing cache state")
@@ -76,7 +77,11 @@ func EngineFromState(cfg Config, geom itree.Geometry, crypt *itree.Crypto, st *S
 		return nil, fmt.Errorf("mee: cache state %dx%d does not match config %dx%d",
 			st.Cache.Sets, st.Cache.Ways, cfg.CacheSets, cfg.CacheWays)
 	}
-	c, err := cache.FromState(st.Cache, nil)
+	if st.Cache.PolicyName != cfg.policyName() {
+		return nil, fmt.Errorf("mee: cache state policy %q does not match config %q",
+			st.Cache.PolicyName, cfg.policyName())
+	}
+	c, err := cache.FromState(st.Cache)
 	if err != nil {
 		return nil, fmt.Errorf("mee: %w", err)
 	}

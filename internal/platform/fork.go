@@ -61,7 +61,7 @@ func (p *Platform) Snapshot() *Snapshot {
 		rngState: p.eng.RNGSnapshot(),
 		mem:      p.mem.Snapshot(),
 		mee:      p.mee.Fork(nil, nil),
-		caches:   p.caches.Fork(nil),
+		caches:   p.caches.Fork(),
 		epc:      p.epc.Clone(),
 		genUsed:  make([]uint64, len(p.genUsed)),
 		prmBase:  p.prmBase,
@@ -103,7 +103,7 @@ func (s *Snapshot) Fork() *Platform {
 		eng:     eng,
 		mem:     mem,
 		mee:     s.mee.Fork(mem, rng),
-		caches:  s.caches.Fork(rng),
+		caches:  s.caches.Fork(),
 		epc:     s.epc.Clone(),
 		genUsed: make([]uint64, len(s.genUsed)),
 		prmBase: s.prmBase,

@@ -45,20 +45,38 @@ func playFuzzOps(th *Thread, base enclave.VAddr, ops []fuzzOp) []AccessResult {
 	return out
 }
 
+// meePolicies is every MEE replacement policy the fuzz target selects from.
+var meePolicies = []string{"lru", "fifo", "tree-plru", "bit-plru", "random", "nru", "srrip"}
+
 // FuzzForkEquivalence drives random read/write/flush scripts across a
 // Snapshot/Fork boundary and asserts the forked platform replays the exact
 // HitLevel/latency/MEE stream of a fresh platform that never forked. This
 // is the tentpole invariant — forking is behaviorally invisible — probed
-// with adversarial access patterns instead of the fixed ones in fork_test.
+// with adversarial access patterns instead of the fixed ones in fork_test,
+// under every MEE replacement policy (the randomized ones also prove Fork
+// rebinds their victim source to the fork's stream).
 func FuzzForkEquivalence(f *testing.F) {
-	f.Add(uint64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7}, []byte{7, 6, 5, 4, 3, 2, 1, 0})
-	f.Add(uint64(42), []byte{255, 128, 64, 32}, []byte{9, 9, 9, 9, 9, 9})
-	f.Add(uint64(7), []byte{}, []byte{1, 2, 3})
-	f.Fuzz(func(t *testing.T, seed uint64, warmBytes, probeBytes []byte) {
+	f.Add(uint64(1), byte(0), []byte{0, 1, 2, 3, 4, 5, 6, 7}, []byte{7, 6, 5, 4, 3, 2, 1, 0})
+	f.Add(uint64(42), byte(0), []byte{255, 128, 64, 32}, []byte{9, 9, 9, 9, 9, 9})
+	f.Add(uint64(7), byte(0), []byte{}, []byte{1, 2, 3})
+	for i := range meePolicies {
+		f.Add(uint64(i+3), byte(i)|0x80, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, []byte{11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, policy byte, warmBytes, probeBytes []byte) {
 		seed %= 1 << 20 // keep configs in a sane, fast regime
+		// The low bits of policy pick the MEE replacement policy. The top
+		// bit halves the MEE cache to 4 ways (the mitigation study's
+		// half-ways organization): the scripts never fill the default
+		// 8-way sets, but they do overflow these, so victims — and the
+		// randomized policies' draws — actually occur.
+		cfg := DefaultConfig(seed)
+		cfg.MEE.Policy = meePolicies[int(policy&0x7f)%len(meePolicies)]
+		if policy&0x80 != 0 {
+			cfg.MEE.CacheWays = 4
+		}
 
 		boot := func() (*Platform, *Process, *enclave.Enclave) {
-			p := New(DefaultConfig(seed))
+			p := New(cfg)
 			pr := p.NewProcess("fuzz")
 			e, err := pr.CreateEnclave(32)
 			if err != nil {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"meecc/internal/cache"
 	"meecc/internal/cpucache"
 	"meecc/internal/dram"
 	"meecc/internal/enclave"
@@ -27,11 +26,9 @@ type Config struct {
 
 	DRAM dram.Config
 	CPU  cpucache.Config
-	MEE  mee.Config
-	// MEEPolicyName, when non-empty, overrides MEE.Policy by name (lru,
-	// fifo, tree-plru, bit-plru, random) using the engine's seeded random
-	// source — needed because the random policy must share the engine RNG.
-	MEEPolicyName string
+	// MEE.Policy names the MEE cache's replacement policy; randomized
+	// policies draw from the engine's seeded random source.
+	MEE mee.Config
 
 	// PRMSize is the processor-reserved (MEE) region, placed at top of
 	// DRAM; EPCSize is the protected data portion inside it.
@@ -66,7 +63,7 @@ func DefaultConfig(seed uint64) Config {
 		FreqGHz:         4.0,
 		DRAM:            dram.DefaultConfig(),
 		CPU:             cpucache.DefaultConfig(4),
-		MEE:             mee.DefaultConfig(nil),
+		MEE:             mee.DefaultConfig(),
 		PRMSize:         128 << 20,
 		EPCSize:         96 << 20,
 		EPCMode:         enclave.AllocSequential,
@@ -113,16 +110,6 @@ func (p *Platform) markGenFrame(f dram.Addr) {
 func New(cfg Config) *Platform {
 	eng := sim.NewEngine(cfg.Seed)
 	rng := eng.Rand()
-	if cfg.MEEPolicyName != "" {
-		pol, err := cache.PolicyByName(cfg.MEEPolicyName, rng)
-		if err != nil {
-			panic(fmt.Sprintf("platform: %v", err))
-		}
-		cfg.MEE.Policy = pol
-	}
-	if cfg.MEE.Policy == nil {
-		cfg.MEE.Policy = cache.NewLRU()
-	}
 	if cfg.CPU.Cores != cfg.Cores {
 		cfg.CPU.Cores = cfg.Cores
 	}
@@ -140,8 +127,8 @@ func New(cfg Config) *Platform {
 		cfg:     cfg,
 		eng:     eng,
 		mem:     mem,
-		mee:     mee.New(cfg.MEE, geom, itree.NewCrypto(master), mem),
-		caches:  cpucache.New(cfg.CPU, cache.NewLRU()),
+		mee:     mee.New(cfg.MEE, geom, itree.NewCrypto(master), mem, rng),
+		caches:  cpucache.New(cfg.CPU),
 		epc:     enclave.NewEPCAllocator(prmBase, cfg.EPCSize, cfg.EPCMode, rng),
 		genUsed: make([]uint64, (uint64(prmBase)/enclave.PageBytes+63)/64),
 		prmBase: prmBase,

@@ -3,8 +3,6 @@ package platform
 import (
 	"fmt"
 
-	"math/rand/v2"
-	"meecc/internal/cache"
 	"meecc/internal/cpucache"
 	"meecc/internal/dram"
 	"meecc/internal/enclave"
@@ -24,23 +22,21 @@ type ProcState struct {
 
 // SnapshotState is the stable codec surface for platform snapshots: every
 // field a serializer needs to rebuild a Snapshot, as plain data. The machine
-// Config is carried with Obs and the MEE policy object stripped; MEEPolicy
-// records the policy by name and Master carries the crypto master key, so
-// decode re-derives working keys through the normal NewCrypto path.
+// Config is carried with Obs stripped, and Master carries the crypto master
+// key, so decode re-derives working keys through the normal NewCrypto path.
 type SnapshotState struct {
-	Cfg       Config
-	MEEPolicy string
-	Master    [16]byte
-	RNGState  []byte
-	Mem       *dram.SnapshotState
-	MEE       *mee.State
-	Caches    *cpucache.State
-	EPC       *enclave.EPCState
-	GenUsed   []uint64
-	PRMBase   dram.Addr
-	Procs     []ProcState
-	NextEID   int
-	NextPID   int
+	Cfg      Config
+	Master   [16]byte
+	RNGState []byte
+	Mem      *dram.SnapshotState
+	MEE      *mee.State
+	Caches   *cpucache.State
+	EPC      *enclave.EPCState
+	GenUsed  []uint64
+	PRMBase  dram.Addr
+	Procs    []ProcState
+	NextEID  int
+	NextPID  int
 }
 
 // ExportState flattens the snapshot for serialization. The image deep-copies
@@ -49,21 +45,18 @@ type SnapshotState struct {
 func (s *Snapshot) ExportState() *SnapshotState {
 	cfg := s.cfg
 	cfg.Obs = nil
-	cfg.MEE.Policy = nil
-	meeSt := s.mee.ExportState()
 	st := &SnapshotState{
-		Cfg:       cfg,
-		MEEPolicy: meeSt.Cache.PolicyName,
-		Master:    s.mee.CryptoMaster(),
-		RNGState:  append([]byte(nil), s.rngState...),
-		Mem:       s.mem.ExportState(),
-		MEE:       meeSt,
-		Caches:    s.caches.ExportState(),
-		EPC:       s.epc.ExportState(),
-		GenUsed:   append([]uint64(nil), s.genUsed...),
-		PRMBase:   s.prmBase,
-		NextEID:   s.nextEID,
-		NextPID:   s.nextPID,
+		Cfg:      cfg,
+		Master:   s.mee.CryptoMaster(),
+		RNGState: append([]byte(nil), s.rngState...),
+		Mem:      s.mem.ExportState(),
+		MEE:      s.mee.ExportState(),
+		Caches:   s.caches.ExportState(),
+		EPC:      s.epc.ExportState(),
+		GenUsed:  append([]uint64(nil), s.genUsed...),
+		PRMBase:  s.prmBase,
+		NextEID:  s.nextEID,
+		NextPID:  s.nextPID,
 	}
 	for _, pr := range s.procs {
 		ps := ProcState{
@@ -109,14 +102,6 @@ func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 	if st.MEE == nil || st.Mem == nil || st.Caches == nil || st.EPC == nil {
 		return nil, fmt.Errorf("platform: snapshot image missing a component state")
 	}
-	if st.MEE.Cache == nil || st.MEE.Cache.PolicyName != st.MEEPolicy {
-		return nil, fmt.Errorf("platform: MEE policy name mismatch")
-	}
-	pol, err := cache.PolicyByName(st.MEEPolicy, rand.New(rand.NewPCG(0, 0)))
-	if err != nil {
-		return nil, fmt.Errorf("platform: %w", err)
-	}
-	cfg.MEE.Policy = pol
 	if want := (uint64(prmBase)/enclave.PageBytes + 63) / 64; uint64(len(st.GenUsed)) != want {
 		return nil, fmt.Errorf("platform: general-frame bitmap %d words, want %d", len(st.GenUsed), want)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkSnapshotEncode(b *testing.B) {
-	snap, _, _ := buildSnapshot(b, 9)
+	snap, _, _ := buildSnapshot(b, 9, "")
 	blob, err := snapstore.EncodeSnapshot(snap)
 	if err != nil {
 		b.Fatal(err)
@@ -22,7 +22,7 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 }
 
 func BenchmarkSnapshotDecode(b *testing.B) {
-	snap, _, _ := buildSnapshot(b, 9)
+	snap, _, _ := buildSnapshot(b, 9, "")
 	blob, err := snapstore.EncodeSnapshot(snap)
 	if err != nil {
 		b.Fatal(err)

@@ -23,7 +23,7 @@ const (
 // EncodeSnapshot serializes a platform snapshot into a sealed, versioned,
 // checksummed blob. The machine Config travels as canonical JSON (it is
 // small, extensible, and hashable); the bulky component state — DRAM pages,
-// cache directories, replacement words, MEE node buffers — uses the packed
+// cache directories, replacement slabs, MEE node buffers — uses the packed
 // binary layout below it.
 func EncodeSnapshot(s *platform.Snapshot) ([]byte, error) {
 	var w Writer
@@ -61,7 +61,6 @@ func AppendSnapshot(w *Writer, s *platform.Snapshot) error {
 		return fmt.Errorf("snapstore: marshaling config: %w", err)
 	}
 	w.Blob(cfgJSON)
-	w.String(st.MEEPolicy)
 	w.Raw(st.Master[:])
 	w.Blob(st.RNGState)
 	writeDRAM(w, st.Mem)
@@ -90,7 +89,6 @@ func ReadSnapshot(r *Reader) (*platform.Snapshot, error) {
 	if err := json.Unmarshal(cfgJSON, &st.Cfg); err != nil {
 		return nil, fmt.Errorf("%w: config: %v", ErrCorrupt, err)
 	}
-	st.MEEPolicy = r.String()
 	copy(st.Master[:], r.Raw(16))
 	st.RNGState = append([]byte(nil), r.Blob()...)
 	st.Mem = readDRAM(r, st.Cfg.DRAM)
@@ -179,9 +177,7 @@ func writeCache(w *Writer, st *cache.State) {
 		w.Bool(l.Valid)
 		w.Bool(l.Dirty)
 	}
-	for _, ws := range st.SetWords {
-		w.U64s(ws)
-	}
+	w.U64s(st.Repl)
 	w.U64(st.Stats.Hits)
 	w.U64(st.Stats.Misses)
 	w.U64(st.Stats.Fills)
@@ -202,16 +198,7 @@ func readCache(r *Reader) *cache.State {
 	for i := range st.Lines {
 		st.Lines[i] = cache.Line{Tag: cache.Tag(r.U64()), Valid: r.Bool(), Dirty: r.Bool()}
 	}
-	// Each set's word vector costs at least its 8-byte length prefix, so
-	// bound the outer allocation by the remaining payload.
-	if st.Sets < 0 || st.Sets*8 > r.Remaining() {
-		r.fail("cache %s: set count %d exceeds payload", st.Name, st.Sets)
-		return st
-	}
-	st.SetWords = make([][]uint64, st.Sets)
-	for s := range st.SetWords {
-		st.SetWords[s] = r.U64s()
-	}
+	st.Repl = r.U64s()
 	st.Stats.Hits = r.U64()
 	st.Stats.Misses = r.U64()
 	st.Stats.Fills = r.U64()

@@ -13,7 +13,7 @@ import (
 // is self-consistent — re-encoding it reproduces the same state, so a
 // "successful" decode can never be a silently wrong machine.
 func FuzzSnapshotCodec(f *testing.F) {
-	snap, _, _ := buildSnapshot(f, 5)
+	snap, _, _ := buildSnapshot(f, 5, "")
 	blob, err := snapstore.EncodeSnapshot(snap)
 	if err != nil {
 		f.Fatal(err)
