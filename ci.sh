@@ -93,10 +93,14 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (internal/exp, internal/fault, internal/sim, internal/obs/ops) =="
+echo "== go test -race (internal/exp, internal/fault, internal/sim, internal/obs/ops, internal/platform, internal/cpucache, internal/cache) =="
 # internal/obs/ops rides along for its scrape-while-updating test: lock-free
 # instruments hammered by writers while /metrics renders concurrently.
-go test -race ./internal/exp ./internal/fault ./internal/sim ./internal/obs/ops
+# internal/platform forks one frozen snapshot from several goroutines
+# (TestConcurrentForksMatchSequential): Fork must only read the copy-on-write
+# set pages it shares, which cpucache and cache implement.
+go test -race ./internal/exp ./internal/fault ./internal/sim ./internal/obs/ops \
+    ./internal/platform ./internal/cpucache ./internal/cache
 
 echo "== go test -race: fig6b/fig7 on both engines (1 iteration) =="
 # One race-instrumented pass over the transmission hot path per engine: the

@@ -55,9 +55,10 @@ func TestInsertInvalidateAllocFree(t *testing.T) {
 	}
 }
 
-// TestNewCloneAllocsIndependentOfSets pins the flat layout: building or
-// cloning a cache costs the same handful of allocations at any set count,
-// so an 8192-set LLC is as cheap to allocate as a 2-set toy.
+// TestNewCloneAllocsIndependentOfSets pins the paged layout: building or
+// cloning a cache allocates the struct and its page directories only —
+// the same handful of allocations at any set count, so an 8192-set LLC is
+// as cheap to allocate as a 2-set toy.
 func TestNewCloneAllocsIndependentOfSets(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	for _, name := range policyNames {

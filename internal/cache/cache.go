@@ -9,12 +9,13 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"meecc/internal/cow"
 	"meecc/internal/obs"
 )
 
 // Tag identifies a cache line. By convention it is the full line address
 // (physical address >> log2(lineSize)), which keeps tags unique across sets
-// and makes test assertions straightforward.
+// and makes test assertions straightforward. Tags must be below 2^62.
 type Tag uint64
 
 // Line is one cache line's bookkeeping. The data payload lives in the
@@ -38,13 +39,46 @@ type Stats struct {
 
 // Cache is a set-associative cache. It is not safe for concurrent use; the
 // simulation engine serializes all actors, so no locking is needed.
+//
+// Each set is one record of words in a copy-on-write slab (internal/cow):
+// its ways' lines, packed one word each (see pack), then the policy's
+// replacement words. A clone shares every page of sets with its source
+// until one side writes a set, so forking an 8192-set LLC copies two small
+// page directories, and a fresh cache allocates no page until a set is
+// first written.
 type Cache struct {
-	// s holds everything that is copied on Clone and serialized: geometry,
-	// the flat line and replacement slabs, and the counters.
-	s     State
-	kind  policyKind
-	words int        // replacement words per set in s.Repl
-	rng   *rand.Rand // victim source of randomized policies, else nil
+	name       string
+	sets, ways int
+	policy     string
+	slab       cow.Slab[uint64] // per set: ways line words, then replacement words
+	evBySet    cow.Slab[uint64] // one counter per set
+	stats      Stats
+	kind       policyKind
+	rng        *rand.Rand // victim source of randomized policies, else nil
+}
+
+// A resident line is packed into one word: the tag in the low 62 bits, then
+// the dirty and valid flags. Tags are line addresses, far below 2^62; the
+// zero word is an empty way.
+const (
+	dirtyBit = 1 << 62
+	validBit = 1 << 63
+	tagMask  = dirtyBit - 1
+)
+
+func pack(l Line) uint64 {
+	w := uint64(l.Tag)
+	if l.Valid {
+		w |= validBit
+	}
+	if l.Dirty {
+		w |= dirtyBit
+	}
+	return w
+}
+
+func unpack(w uint64) Line {
+	return Line{Tag: Tag(w & tagMask), Valid: w&validBit != 0, Dirty: w&dirtyBit != 0}
 }
 
 // New builds a cache with the given geometry and replacement policy.
@@ -57,45 +91,41 @@ func New(name string, sets, ways int, policy Policy) *Cache {
 	if err := policy.kind.checkWays(ways); err != nil {
 		panic(fmt.Sprintf("cache %s: %v", name, err))
 	}
-	words := policy.kind.words(ways)
-	c := &Cache{
-		s: State{
-			Name:       name,
-			Sets:       sets,
-			Ways:       ways,
-			PolicyName: policy.Name(),
-			Lines:      make([]Line, sets*ways),
-			Repl:       make([]uint64, sets*words),
-			EvBySet:    make([]uint64, sets),
-		},
-		kind:  policy.kind,
-		words: words,
-		rng:   policy.rng,
+	return &Cache{
+		name:    name,
+		sets:    sets,
+		ways:    ways,
+		policy:  policy.Name(),
+		slab:    cow.New[uint64](sets, ways+policy.kind.words(ways)),
+		evBySet: cow.New[uint64](sets, 1),
+		kind:    policy.kind,
+		rng:     policy.rng,
 	}
-	c.kind.initSlab(c.s.Repl)
-	return c
 }
 
-// lines returns set's ways in the line slab.
-func (c *Cache) lines(set int) []Line {
-	i := set * c.s.Ways
-	return c.s.Lines[i : i+c.s.Ways : i+c.s.Ways]
-}
-
-// repl returns set's words in the replacement slab.
-func (c *Cache) repl(set int) []uint64 {
-	i := set * c.words
-	return c.s.Repl[i : i+c.words : i+c.words]
+// find returns the way of rec (a set record, nil for an untouched set)
+// holding tag, or -1.
+func (c *Cache) find(rec []uint64, tag Tag) int {
+	if rec == nil {
+		return -1
+	}
+	want := uint64(tag) | validBit
+	for w, x := range rec[:c.ways] {
+		if x&^dirtyBit == want {
+			return w
+		}
+	}
+	return -1
 }
 
 // Name returns the cache's diagnostic name.
-func (c *Cache) Name() string { return c.s.Name }
+func (c *Cache) Name() string { return c.name }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.s.Sets }
+func (c *Cache) Sets() int { return c.sets }
 
 // Ways returns the associativity.
-func (c *Cache) Ways() int { return c.s.Ways }
+func (c *Cache) Ways() int { return c.ways }
 
 // Observe registers the cache's counters with an observer as deferred
 // samples under "cache.<prefix>.": nothing is added to the lookup/insert hot
@@ -108,12 +138,12 @@ func (c *Cache) Observe(o *obs.Observer, prefix string) {
 		return
 	}
 	p := "cache." + prefix + "."
-	o.Sample(p+"hits", obs.Semantic, func() uint64 { return c.s.Stats.Hits })
-	o.Sample(p+"misses", obs.Semantic, func() uint64 { return c.s.Stats.Misses })
-	o.Sample(p+"fills", obs.Semantic, func() uint64 { return c.s.Stats.Fills })
-	o.Sample(p+"evictions", obs.Semantic, func() uint64 { return c.s.Stats.Evictions })
-	o.Sample(p+"writebacks_out", obs.Semantic, func() uint64 { return c.s.Stats.WritebacksOut })
-	o.Sample(p+"invalidations", obs.Semantic, func() uint64 { return c.s.Stats.Invalidations })
+	o.Sample(p+"hits", obs.Semantic, func() uint64 { return c.stats.Hits })
+	o.Sample(p+"misses", obs.Semantic, func() uint64 { return c.stats.Misses })
+	o.Sample(p+"fills", obs.Semantic, func() uint64 { return c.stats.Fills })
+	o.Sample(p+"evictions", obs.Semantic, func() uint64 { return c.stats.Evictions })
+	o.Sample(p+"writebacks_out", obs.Semantic, func() uint64 { return c.stats.WritebacksOut })
+	o.Sample(p+"invalidations", obs.Semantic, func() uint64 { return c.stats.Invalidations })
 	o.Sample(p+"hot_set", obs.Semantic, func() uint64 {
 		set, _ := c.MaxSetEvictions()
 		return uint64(set)
@@ -125,14 +155,14 @@ func (c *Cache) Observe(o *obs.Observer, prefix string) {
 }
 
 // Stats returns a copy of the accumulated statistics.
-func (c *Cache) Stats() Stats { return c.s.Stats }
+func (c *Cache) Stats() Stats { return c.stats }
 
 // ResetStats zeroes the statistics counters, including per-set evictions.
+// The eviction-counter pages are dropped rather than zeroed, so a reset
+// copies nothing, even in a fork that still shares them.
 func (c *Cache) ResetStats() {
-	c.s.Stats = Stats{}
-	for i := range c.s.EvBySet {
-		c.s.EvBySet[i] = 0
-	}
+	c.stats = Stats{}
+	c.evBySet.Clear()
 }
 
 // EvictionsBySet returns a copy of the per-set conflict-eviction counters —
@@ -147,19 +177,14 @@ func (c *Cache) EvictionsBySet() []uint64 {
 // Periodic samplers (e.g. the detect monitor) pass their previous buffer to
 // keep the polling loop allocation-free.
 func (c *Cache) EvictionsBySetInto(dst []uint64) []uint64 {
-	if cap(dst) < len(c.s.EvBySet) {
-		dst = make([]uint64, len(c.s.EvBySet))
-	}
-	dst = dst[:len(c.s.EvBySet)]
-	copy(dst, c.s.EvBySet)
-	return dst
+	return c.evBySet.Flatten(dst)
 }
 
 // MaxSetEvictions returns the hottest set's eviction count and its index.
 func (c *Cache) MaxSetEvictions() (set int, count uint64) {
-	for s, n := range c.s.EvBySet {
-		if n > count {
-			set, count = s, n
+	for s := 0; s < c.sets; s++ {
+		if n := c.evBySet.Get(s); n != nil && n[0] > count {
+			set, count = s, n[0]
 		}
 	}
 	return set, count
@@ -176,16 +201,18 @@ func (c *Cache) Lookup(set int, tag Tag) bool {
 // keep per-line side data in dense [set][way] arrays (the MEE node buffers,
 // the cpucache plaintext buffers) can index it without a map. way is -1 on a
 // miss.
+//
+// A lookup owns the set's page even on a miss (contents unchanged): every
+// caller fills the set after a miss, so the page would be cloned anyway,
+// and one page access per lookup is measurably cheaper than two.
 func (c *Cache) LookupWay(set int, tag Tag) (way int, hit bool) {
-	ws := c.lines(set)
-	for w := range ws {
-		if ws[w].Valid && ws[w].Tag == tag {
-			c.touch(c.repl(set), w)
-			c.s.Stats.Hits++
-			return w, true
-		}
+	rec := c.slab.Own(set)
+	if w := c.find(rec, tag); w >= 0 {
+		c.touch(rec[c.ways:], w)
+		c.stats.Hits++
+		return w, true
 	}
-	c.s.Stats.Misses++
+	c.stats.Misses++
 	return -1, false
 }
 
@@ -198,26 +225,18 @@ func (c *Cache) Contains(set int, tag Tag) bool {
 // WayOf returns the way holding tag without updating replacement state or
 // stats (Contains with the way exposed). way is -1 when absent.
 func (c *Cache) WayOf(set int, tag Tag) (way int, ok bool) {
-	ws := c.lines(set)
-	for w := range ws {
-		if ws[w].Valid && ws[w].Tag == tag {
-			return w, true
-		}
-	}
-	return -1, false
+	w := c.find(c.slab.Get(set), tag)
+	return w, w >= 0
 }
 
 // MarkDirty sets the dirty bit of a resident line. It reports whether the
 // line was present.
 func (c *Cache) MarkDirty(set int, tag Tag) bool {
-	ws := c.lines(set)
-	for w := range ws {
-		if ws[w].Valid && ws[w].Tag == tag {
-			ws[w].Dirty = true
-			return true
-		}
+	w, ok := c.WayOf(set, tag)
+	if ok {
+		c.slab.Own(set)[w] |= dirtyBit
 	}
-	return false
+	return ok
 }
 
 // Insert fills tag into set, evicting if necessary. It returns the evicted
@@ -231,37 +250,44 @@ func (c *Cache) Insert(set int, tag Tag, dirty bool) (evicted Line) {
 
 // InsertWay is Insert returning the way the line landed in, so callers with
 // dense [set][way] side data can place the line's payload without a map.
+// It panics on a tag of 2^62 or more (see Tag).
 func (c *Cache) InsertWay(set int, tag Tag, dirty bool) (way int, evicted Line) {
-	ws := c.lines(set)
-	// Already present: refresh.
-	for w := range ws {
-		if ws[w].Valid && ws[w].Tag == tag {
-			ws[w].Dirty = ws[w].Dirty || dirty
-			c.touch(c.repl(set), w)
-			return w, Line{}
-		}
+	var d uint64
+	if dirty {
+		d = dirtyBit
 	}
+	if tag > tagMask {
+		panic(fmt.Sprintf("cache %s: tag %#x exceeds 62 bits", c.name, tag))
+	}
+	rec := c.slab.Own(set)
+	ws, r := rec[:c.ways], rec[c.ways:]
+	// Already present: refresh.
+	if w := c.find(rec, tag); w >= 0 {
+		ws[w] |= d
+		c.touch(r, w)
+		return w, Line{}
+	}
+	line := uint64(tag) | validBit | d
 	// Empty way available.
-	for w := range ws {
-		if !ws[w].Valid {
-			ws[w] = Line{Tag: tag, Valid: true, Dirty: dirty}
-			c.fill(c.repl(set), w)
-			c.s.Stats.Fills++
+	for w, x := range ws {
+		if x&validBit == 0 {
+			ws[w] = line
+			c.fill(r, w)
+			c.stats.Fills++
 			return w, Line{}
 		}
 	}
 	// Evict a victim.
-	r := c.repl(set)
 	w := c.victim(r)
-	evicted = ws[w]
-	c.s.Stats.Evictions++
-	c.s.EvBySet[set]++
+	evicted = unpack(ws[w])
+	c.stats.Evictions++
+	c.evBySet.Own(set)[0]++
 	if evicted.Dirty {
-		c.s.Stats.WritebacksOut++
+		c.stats.WritebacksOut++
 	}
-	ws[w] = Line{Tag: tag, Valid: true, Dirty: dirty}
+	ws[w] = line
 	c.fill(r, w)
-	c.s.Stats.Fills++
+	c.stats.Fills++
 	return w, evicted
 }
 
@@ -276,36 +302,36 @@ func (c *Cache) Invalidate(set int, tag Tag) Line {
 // InvalidateWay is Invalidate returning the way the line was removed from
 // (-1 when the tag was not resident).
 func (c *Cache) InvalidateWay(set int, tag Tag) (way int, removed Line) {
-	ws := c.lines(set)
-	for w := range ws {
-		if ws[w].Valid && ws[w].Tag == tag {
-			l := ws[w]
-			ws[w] = Line{}
-			c.invalidate(c.repl(set), w)
-			c.s.Stats.Invalidations++
-			if l.Dirty {
-				c.s.Stats.WritebacksOut++
-			}
-			return w, l
-		}
+	w, ok := c.WayOf(set, tag)
+	if !ok {
+		return -1, Line{}
 	}
-	return -1, Line{}
+	rec := c.slab.Own(set)
+	l := unpack(rec[w])
+	rec[w] = 0
+	c.invalidate(rec[c.ways:], w)
+	c.stats.Invalidations++
+	if l.Dirty {
+		c.stats.WritebacksOut++
+	}
+	return w, l
 }
 
 // FlushAll invalidates every line, returning the dirty lines that would be
 // written back.
 func (c *Cache) FlushAll() []Line {
 	var dirty []Line
-	for set := 0; set < c.s.Sets; set++ {
-		ws := c.lines(set)
-		for w, l := range ws {
-			if l.Valid {
-				ws[w] = Line{}
-				c.invalidate(c.repl(set), w)
-				c.s.Stats.Invalidations++
+	for set := 0; set < c.sets; set++ {
+		rec := c.slab.Get(set)
+		for w := 0; rec != nil && w < c.ways; w++ {
+			if l := unpack(rec[w]); l.Valid {
+				rec = c.slab.Own(set)
+				rec[w] = 0
+				c.invalidate(rec[c.ways:], w)
+				c.stats.Invalidations++
 				if l.Dirty {
 					dirty = append(dirty, l)
-					c.s.Stats.WritebacksOut++
+					c.stats.WritebacksOut++
 				}
 			}
 		}
@@ -313,30 +339,58 @@ func (c *Cache) FlushAll() []Line {
 	return dirty
 }
 
-// Clone returns an independent deep copy of the cache — lines, replacement
+// Clone returns an independent copy of the cache — lines, replacement
 // state, statistics, and per-set eviction counters — for platform forking.
-// Randomized policies (random, nru) draw the copy's victims from rng, which
-// must be the fork's engine stream; nil makes a frozen copy that holds no
-// random source and must be cloned again before it runs.
+// The copy shares every set page with c until either side writes it. A live
+// c moves to a fresh page generation; a frozen c (from Snapshot or
+// FromState) is only read, so it may be cloned from several goroutines at
+// once. Randomized policies (random, nru) draw the copy's victims from rng,
+// which must be the fork's engine stream.
 func (c *Cache) Clone(rng *rand.Rand) *Cache {
-	n := &Cache{s: c.s.clone(), kind: c.kind, words: c.words}
+	n := c.copyHeader()
+	n.slab, n.evBySet = c.slab.Fork(), c.evBySet.Fork()
 	if c.kind.randomized() {
 		n.rng = rng
 	}
 	return n
 }
 
+// Snapshot returns a frozen copy of the cache: it shares every set page
+// with c, holds no random source, and never runs — Clone it to get a
+// runnable cache. c keeps running on a fresh page generation, cloning each
+// shared page before its first write.
+func (c *Cache) Snapshot() *Cache {
+	n := c.copyHeader()
+	n.slab, n.evBySet = c.slab.Freeze(), c.evBySet.Freeze()
+	return n
+}
+
+// copyHeader copies everything but the set pages and the random source.
+func (c *Cache) copyHeader() *Cache {
+	return &Cache{name: c.name, sets: c.sets, ways: c.ways, policy: c.policy, stats: c.stats, kind: c.kind}
+}
+
 // SetContents returns a copy of the lines in a set, for tests and tools.
 func (c *Cache) SetContents(set int) []Line {
-	return append([]Line(nil), c.lines(set)...)
+	ws := make([]Line, c.ways)
+	if rec := c.slab.Get(set); rec != nil {
+		for w := range ws {
+			ws[w] = unpack(rec[w])
+		}
+	}
+	return ws
 }
 
 // ValidCount returns the number of valid lines in the whole cache.
 func (c *Cache) ValidCount() int {
 	n := 0
-	for _, l := range c.s.Lines {
-		if l.Valid {
-			n++
+	for set := 0; set < c.sets; set++ {
+		if rec := c.slab.Get(set); rec != nil {
+			for _, x := range rec[:c.ways] {
+				if x&validBit != 0 {
+					n++
+				}
+			}
 		}
 	}
 	return n

@@ -341,6 +341,7 @@ func TestFromStateValidatesImage(t *testing.T) {
 		{"tree-plru node bit out of range", NewTreePLRU(), 4, func(st *State) { st.Repl[2] |= 1 << 3 }},
 		{"bit-plru way bit out of range", NewBitPLRU(), 4, func(st *State) { st.Repl[1] |= 1 << 4 }},
 		{"srrip rrpv out of range", NewSRRIP(), 4, func(st *State) { st.Repl[5] = srripMax + 1 }},
+		{"tag beyond 62 bits", NewLRU(), 4, func(st *State) { st.Lines[3].Tag |= 1 << 62 }},
 	} {
 		st := image(tc.p, tc.ways)
 		tc.damage(st)
@@ -348,4 +349,21 @@ func TestFromStateValidatesImage(t *testing.T) {
 			t.Errorf("%s: damaged image accepted", tc.name)
 		}
 	}
+}
+
+// TestInsertRejectsOversizedTag pins the packed-line contract: a tag that
+// would collide with the valid and dirty flags panics instead of storing a
+// corrupt line.
+func TestInsertRejectsOversizedTag(t *testing.T) {
+	c := New("tags", 4, 2, NewLRU())
+	c.Insert(1, tagMask, true) // the largest tag fits
+	if l := c.SetContents(1)[0]; l != (Line{Tag: tagMask, Valid: true, Dirty: true}) {
+		t.Fatalf("largest tag stored as %+v", l)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("oversized tag inserted")
+		}
+	}()
+	c.Insert(1, tagMask+1, false)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // policyKind enumerates the replacement policies. Each keeps a fixed number
-// of replacement words per set (see words) in the cache's flat slab.
+// of replacement words per set (see words), after the lines in its record.
 type policyKind uint8
 
 const (
@@ -116,6 +116,11 @@ func (k policyKind) randomized() bool { return k == kindRandom || k == kindNRU }
 //	bit-plru, nru       [way bits]    (bit w = way w referenced)
 //	srrip               [rrpv_0 .. rrpv_{ways-1}]
 //	random              none
+//
+// Every policy's empty set is all zero words, the initial state of a set
+// page, except SRRIP's (every RRPV distant). So the slab keeps SRRIP words
+// as srripMax−RRPV, the distance from distant, and imageWords converts at
+// the State boundary.
 func (k policyKind) words(ways int) int {
 	switch k {
 	case kindLRU, kindFIFO:
@@ -142,11 +147,12 @@ func (k policyKind) checkWays(ways int) error {
 	return nil
 }
 
-// initSlab writes a fresh cache's replacement words (every set empty).
-func (k policyKind) initSlab(r []uint64) {
+// imageWords converts replacement words between slab and State form, in
+// place; the conversion is its own inverse (see words).
+func (k policyKind) imageWords(r []uint64) {
 	if k == kindSRRIP {
 		for i := range r {
-			r[i] = srripMax
+			r[i] = srripMax - r[i]
 		}
 	}
 }
@@ -178,7 +184,7 @@ func (c *Cache) touch(r []uint64, way int) {
 		// Walk from the root, pointing each node on the way's path at the
 		// other half (MSB of the way index first).
 		m, node := r[0], 0
-		for span := c.s.Ways / 2; span >= 1; span /= 2 {
+		for span := c.ways / 2; span >= 1; span /= 2 {
 			if way&span != 0 {
 				m &^= 1 << node
 				node = 2*node + 2
@@ -190,12 +196,12 @@ func (c *Cache) touch(r []uint64, way int) {
 		r[0] = m
 	case kindBitPLRU, kindNRU:
 		m := r[0] | 1<<way
-		if m == wayMask(c.s.Ways) {
+		if m == wayMask(c.ways) {
 			m = 1 << way // all referenced: keep only the newest
 		}
 		r[0] = m
 	case kindSRRIP:
-		r[way] = 0
+		r[way] = srripMax // RRPV 0
 	}
 }
 
@@ -207,7 +213,7 @@ func (c *Cache) fill(r []uint64, way int) {
 		r[0]++
 		r[1+way] = r[0]
 	case kindSRRIP:
-		r[way] = srripMax - 1
+		r[way] = 1 // RRPV srripMax-1
 	default:
 		c.touch(r, way)
 	}
@@ -227,7 +233,7 @@ func (c *Cache) victim(r []uint64) int {
 		return best
 	case kindTreePLRU:
 		m, node, way := r[0], 0, 0
-		for span := c.s.Ways / 2; span >= 1; span /= 2 {
+		for span := c.ways / 2; span >= 1; span /= 2 {
 			if m&(1<<node) != 0 {
 				way |= span
 				node = 2*node + 2
@@ -237,18 +243,18 @@ func (c *Cache) victim(r []uint64) int {
 		}
 		return way
 	case kindBitPLRU:
-		if w := bits.TrailingZeros64(^r[0]); w < c.s.Ways {
+		if w := bits.TrailingZeros64(^r[0]); w < c.ways {
 			return w
 		}
 		return 0
 	case kindRandom:
-		return c.rng.IntN(c.s.Ways)
+		return c.rng.IntN(c.ways)
 	case kindNRU:
 		// The k-th clear way, k drawn uniformly: one draw, no scratch.
-		free := ^r[0] & wayMask(c.s.Ways)
+		free := ^r[0] & wayMask(c.ways)
 		n := bits.OnesCount64(free)
 		if n == 0 {
-			return c.rng.IntN(c.s.Ways)
+			return c.rng.IntN(c.ways)
 		}
 		for k := c.rng.IntN(n); k > 0; k-- {
 			free &= free - 1
@@ -256,13 +262,13 @@ func (c *Cache) victim(r []uint64) int {
 		return bits.TrailingZeros64(free)
 	case kindSRRIP:
 		for {
-			for w, v := range r {
-				if v >= srripMax {
+			for w, d := range r {
+				if d == 0 { // RRPV distant
 					return w
 				}
 			}
 			for w := range r {
-				r[w]++
+				r[w]-- // age: RRPV+1
 			}
 		}
 	}
@@ -277,6 +283,6 @@ func (c *Cache) invalidate(r []uint64, way int) {
 	case kindBitPLRU, kindNRU:
 		r[0] &^= 1 << way
 	case kindSRRIP:
-		r[way] = srripMax
+		r[way] = 0 // RRPV distant
 	}
 }

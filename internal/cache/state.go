@@ -2,11 +2,10 @@ package cache
 
 import "fmt"
 
-// State is a Cache's whole copyable image — geometry, policy name, the flat
-// line and replacement slabs, statistics, and per-set eviction counters. A
-// live cache keeps its contents in one; Clone, ExportState and FromState
-// all copy it the same way. It contains no random sources: FromState builds
-// a frozen cache that a Clone(rng) rebinds before any victim is drawn.
+// State is the serializable image of a Cache — geometry, policy name, the
+// lines and replacement words flattened set by set, statistics, and per-set
+// eviction counters. It contains no random sources: FromState builds a
+// frozen cache that a Clone(rng) rebinds before any victim is drawn.
 type State struct {
 	Name       string
 	Sets, Ways int
@@ -17,26 +16,39 @@ type State struct {
 	EvBySet    []uint64
 }
 
-// clone deep-copies the image's slabs.
-func (st *State) clone() State {
-	n := *st
-	n.Lines = append([]Line(nil), st.Lines...)
-	n.Repl = append([]uint64(nil), st.Repl...)
-	n.EvBySet = append([]uint64(nil), st.EvBySet...)
-	return n
-}
-
 // ExportState captures the cache as a State. The image is a deep copy; the
 // cache may keep running afterwards.
 func (c *Cache) ExportState() *State {
-	st := c.s.clone()
-	return &st
+	words := c.kind.words(c.ways)
+	st := &State{
+		Name:       c.name,
+		Sets:       c.sets,
+		Ways:       c.ways,
+		PolicyName: c.policy,
+		Lines:      make([]Line, c.sets*c.ways),
+		Repl:       make([]uint64, c.sets*words),
+		Stats:      c.stats,
+		EvBySet:    c.evBySet.Flatten(nil),
+	}
+	for set := 0; set < c.sets; set++ {
+		rec := c.slab.Get(set)
+		if rec == nil {
+			continue // zero lines and words
+		}
+		for w, x := range rec[:c.ways] {
+			st.Lines[set*c.ways+w] = unpack(x)
+		}
+		copy(st.Repl[set*words:], rec[c.ways:])
+	}
+	c.kind.imageWords(st.Repl)
+	return st
 }
 
 // FromState rebuilds a frozen cache from a State image: it holds no random
-// source, so randomized policies must be rebound with Clone(rng) before the
-// cache runs. Geometry, slab lengths and replacement words are validated,
-// so a corrupted image returns an error rather than panicking downstream.
+// source and never runs, so it must be rebound with Clone(rng) first.
+// Geometry, slab lengths and replacement words are validated, so a
+// corrupted image returns an error rather than panicking downstream. Pages
+// whose image is all initial state stay unallocated.
 func FromState(st *State) (*Cache, error) {
 	if st.Sets <= 0 || st.Ways <= 0 {
 		return nil, fmt.Errorf("cache %s: invalid geometry %dx%d", st.Name, st.Sets, st.Ways)
@@ -64,5 +76,22 @@ func FromState(st *State) (*Cache, error) {
 			return nil, fmt.Errorf("cache %s set %d: %s replacement word %#x exceeds %#x", st.Name, i/words, st.PolicyName, v, limit)
 		}
 	}
-	return &Cache{s: st.clone(), kind: kind, words: words}, nil
+	width := st.Ways + words
+	flat := make([]uint64, st.Sets*width)
+	for set := 0; set < st.Sets; set++ {
+		rec := flat[set*width : (set+1)*width]
+		for w, l := range st.Lines[set*st.Ways : (set+1)*st.Ways] {
+			if l.Tag > tagMask {
+				return nil, fmt.Errorf("cache %s set %d: tag %#x exceeds 62 bits", st.Name, set, l.Tag)
+			}
+			rec[w] = pack(l)
+		}
+		copy(rec[st.Ways:], st.Repl[set*words:(set+1)*words])
+		kind.imageWords(rec[st.Ways:])
+	}
+	c := New(st.Name, st.Sets, st.Ways, Policy{kind: kind})
+	c.stats = st.Stats
+	c.slab.Load(flat)
+	c.evBySet.Load(st.EvBySet)
+	return c.Snapshot(), nil
 }

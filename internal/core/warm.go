@@ -105,6 +105,10 @@ func WarmChannel(cfg ChannelConfig) (*ChannelWarmState, error) {
 	return ws, nil
 }
 
+// Snapshot returns the frozen platform snapshot every Run forks. It is
+// shared: fork it, never run it.
+func (ws *ChannelWarmState) Snapshot() *platform.Snapshot { return ws.snap }
+
 // compatible rejects configs whose warm phase would have differed from the
 // one this state was produced under.
 func (ws *ChannelWarmState) compatible(cfg ChannelConfig) error {

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -233,5 +234,29 @@ func TestWarmCacheRecomputesOldVersionBlob(t *testing.T) {
 	}
 	if res, err := got.Run(cfg); err != nil || !reflect.DeepEqual(res, want) {
 		t.Fatalf("recomputed warm state diverged (err %v)", err)
+	}
+}
+
+// TestWarmSnapshotWireGolden pins the Version 2 snapshot wire bytes of a
+// fixed-seed warm channel state by digest. How the simulator stores its
+// state in memory (flat slabs, copy-on-write set pages, ...) must not move
+// a byte: warm-tier blobs already on disk stay valid only while a decoded
+// machine re-encodes identically. A deliberate format change bumps
+// snapstore.Version and re-records the digest.
+func TestWarmSnapshotWireGolden(t *testing.T) {
+	const wantDigest = "67e17051139e8bf11b0b707d83ffe271e49f6cc69d7f6901b7ec66c32ad848d5"
+	if snapstore.Version != 2 {
+		t.Fatalf("snapstore.Version = %d; the golden digest pins Version 2", snapstore.Version)
+	}
+	ws, err := WarmChannel(DefaultChannelConfig(1))
+	if err != nil {
+		t.Fatalf("WarmChannel: %v", err)
+	}
+	blob, err := snapstore.EncodeSnapshot(ws.snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != wantDigest {
+		t.Fatalf("warm snapshot wire digest %s (%d bytes), want %s", got, len(blob), wantDigest)
 	}
 }

@@ -1,6 +1,7 @@
 package cpucache
 
 import (
+	"runtime"
 	"testing"
 
 	"meecc/internal/dram"
@@ -57,10 +58,10 @@ func TestWarmAccessAllocFreeWithMetrics(t *testing.T) {
 	}
 }
 
-// TestForkAllocsIndependentOfResidency pins the arena-backed Fork: cloning
-// the hierarchy is a fixed set of slab allocations plus one memcpy, so the
-// allocation count must not scale with how many lines are resident. A
-// per-line clone loop would fail this immediately.
+// TestForkAllocsIndependentOfResidency pins the copy-on-write Fork: cloning
+// the hierarchy copies a fixed set of page directories, so the allocation
+// count must not scale with how many lines are resident. A per-line clone
+// loop would fail this immediately.
 func TestForkAllocsIndependentOfResidency(t *testing.T) {
 	forkAllocs := func(lines int) float64 {
 		h := New(DefaultConfig(2))
@@ -77,8 +78,9 @@ func TestForkAllocsIndependentOfResidency(t *testing.T) {
 }
 
 // TestFillFlushSteadyStateAllocFree exercises the miss/evict churn: once the
-// lineBuf pool has reached its high-water mark, Fill and Flush recycle
-// buffers and reuse the scratch Victim instead of allocating.
+// warm-up has materialized the set pages the working set maps to, Fill and
+// Flush write those pages in place and reuse the scratch Victim instead of
+// allocating.
 func TestFillFlushSteadyStateAllocFree(t *testing.T) {
 	h := New(DefaultConfig(1))
 	var line [dram.LineSize]byte
@@ -94,5 +96,34 @@ func TestFillFlushSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Fill/Flush churn allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestForkBytesBounded bounds the bytes, not just the objects, of forking a
+// hierarchy whose every LLC set is resident: Snapshot plus Fork copy page
+// directories (the flat slabs they replaced were ~14.6 MB per copy), and a
+// fork's first write to a set clones only that set's pages.
+func TestForkBytesBounded(t *testing.T) {
+	cfg := DefaultConfig(2)
+	h := New(cfg)
+	var line [dram.LineSize]byte
+	for i := 0; i < cfg.LLCSets*cfg.LLCWays; i++ {
+		h.Fill(i%cfg.Cores, dram.Addr(i*dram.LineSize), line, i%3 == 0)
+	}
+	bytes := func(f func()) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	var fork *Hierarchy
+	if n := bytes(func() { fork = h.Snapshot().Fork() }); n >= 1<<20 {
+		t.Errorf("Snapshot().Fork() of a full hierarchy allocated %d bytes, want < 1 MB", n)
+	}
+	// One fill into a fresh set evicts (the set is full) and writes the
+	// LLC, the L1 and L2 of core 0 and the line buffer: one page each.
+	if n := bytes(func() { fork.Fill(0, dram.Addr(cfg.LLCSets*cfg.LLCWays*dram.LineSize), line, true) }); n >= 64<<10 {
+		t.Errorf("first write to a forked set allocated %d bytes, want < 64 KB", n)
 	}
 }

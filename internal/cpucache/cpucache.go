@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"meecc/internal/cache"
+	"meecc/internal/cow"
 	"meecc/internal/dram"
 	"meecc/internal/obs"
 	"meecc/internal/sim"
@@ -86,8 +87,8 @@ type Victim struct {
 type lineBuf struct {
 	data  [dram.LineSize]byte
 	dirty bool
-	// valid marks the slot occupied; the slot index is implied by position
-	// in the dense [set*ways+way] slab.
+	// valid marks the slot occupied; the slot is implied by position in
+	// the [set][way] slab.
 	valid bool
 	// cores is a conservative mask of cores whose private L1/L2 may still
 	// hold the line: a set bit means "maybe present", a clear bit means
@@ -107,10 +108,11 @@ type Hierarchy struct {
 	llc *cache.Cache
 	// bufs mirrors plaintext content and dirtiness of every LLC-resident
 	// line (inclusive LLC means LLC residency == hierarchy residency). It is
-	// one contiguous value slab indexed [set*ways+way] in parallel with the
-	// LLC's line storage: the hot-path lookup is an array index, dropping a
-	// line is clearing its valid bit, and Fork is a single slab copy.
-	bufs []lineBuf
+	// a value slab indexed [set][way] in parallel with the LLC's line
+	// directory, stored as copy-on-write set pages: the hot-path lookup is
+	// an array index, dropping a line is clearing its slot, and Fork copies
+	// a page directory — a fork clones only the pages of the sets it writes.
+	bufs cow.Slab[lineBuf]
 	// freeBufs tracks how deep the pointer-era recycling free list would be,
 	// so the linebuf alloc/recycled observability counters keep their exact
 	// historical semantics now that slots are slab-resident.
@@ -153,7 +155,7 @@ func New(cfg Config) *Hierarchy {
 	h := &Hierarchy{
 		cfg:  cfg,
 		llc:  cache.New("llc", cfg.LLCSets, cfg.LLCWays, cache.NewLRU()),
-		bufs: make([]lineBuf, cfg.LLCSets*cfg.LLCWays),
+		bufs: cow.New[lineBuf](cfg.LLCSets, cfg.LLCWays),
 	}
 	for c := 0; c < cfg.Cores; c++ {
 		h.l1 = append(h.l1, cache.New(fmt.Sprintf("l1d-%d", c), cfg.L1Sets, cfg.L1Ways, cache.NewLRU()))
@@ -162,40 +164,50 @@ func New(cfg Config) *Hierarchy {
 	return h
 }
 
-// Fork returns an independent deep copy of the hierarchy — every cache
-// level's lines, replacement state and statistics, plus the plaintext line
-// buffers — for platform forking. Observability is not carried over.
+// Fork returns an independent copy of the hierarchy — every cache level's
+// lines, replacement state and statistics, plus the plaintext line buffers
+// — for platform forking. The copy shares every set page with h until one
+// side writes it (see cache.Cache.Clone for the ownership rule: a live h
+// moves to a fresh page generation, a frozen h is only read). Observability
+// is not carried over.
 func (h *Hierarchy) Fork() *Hierarchy {
-	n := &Hierarchy{
-		cfg:  h.cfg,
-		llc:  h.llc.Clone(nil),
-		bufs: make([]lineBuf, len(h.bufs)),
-	}
-	for _, c := range h.l1 {
-		n.l1 = append(n.l1, c.Clone(nil))
-	}
-	for _, c := range h.l2 {
-		n.l2 = append(n.l2, c.Clone(nil))
-	}
-	copy(n.bufs, h.bufs) // value slab: one memcpy clones every resident line
+	n := h.copyLevels(func(c *cache.Cache) *cache.Cache { return c.Clone(nil) })
+	n.bufs = h.bufs.Fork()
 	return n
 }
 
-// bufIdx maps an LLC location to its slot in the dense buffer array.
-func (h *Hierarchy) bufIdx(set, way int) int { return set*h.cfg.LLCWays + way }
+// Snapshot returns a frozen copy of the hierarchy for a platform snapshot:
+// it shares every set page with h and never runs — Fork it to get a
+// runnable hierarchy, from any number of goroutines. h keeps running,
+// cloning each shared page before its first write.
+func (h *Hierarchy) Snapshot() *Hierarchy {
+	n := h.copyLevels((*cache.Cache).Snapshot)
+	n.bufs = h.bufs.Freeze()
+	return n
+}
 
-// residentBuf returns the buffer of an LLC-resident line without touching
-// replacement state or statistics, or nil when absent.
-func (h *Hierarchy) residentBuf(addr dram.Addr) *lineBuf {
-	set := h.set(h.llc, addr)
-	way, ok := h.llc.WayOf(set, h.tag(addr))
-	if !ok {
-		return nil
+// copyLevels copies the config and every cache level through cp.
+func (h *Hierarchy) copyLevels(cp func(*cache.Cache) *cache.Cache) *Hierarchy {
+	n := &Hierarchy{cfg: h.cfg, llc: cp(h.llc)}
+	for _, c := range h.l1 {
+		n.l1 = append(n.l1, cp(c))
 	}
-	if b := &h.bufs[h.bufIdx(set, way)]; b.valid {
-		return b
+	for _, c := range h.l2 {
+		n.l2 = append(n.l2, cp(c))
 	}
-	return nil
+	return n
+}
+
+// resident locates an LLC-resident line with a valid buffer without
+// touching replacement state or statistics; ok is false when absent.
+func (h *Hierarchy) resident(addr dram.Addr) (set, way int, ok bool) {
+	set = h.set(h.llc, addr)
+	way, ok = h.llc.WayOf(set, h.tag(addr))
+	if ok {
+		b := h.bufs.Get(set)
+		ok = b != nil && b[way].valid
+	}
+	return set, way, ok
 }
 
 // Config returns the hierarchy configuration.
@@ -274,11 +286,17 @@ func (h *Hierarchy) Access(core int, addr dram.Addr, write bool) (Level, sim.Cyc
 		}
 		h.l2[core].Insert(h.set(h.l2[core], addr), tag, false)
 		h.l1[core].Insert(h.set(h.l1[core], addr), tag, false)
-		h.bufs[h.bufIdx(set, way)].cores |= 1 << uint(core) // now privately resident here too
+		// Now privately resident here too; a set bit is left alone, so a
+		// read hit does not clone a shared page.
+		bit := uint16(1) << uint(core)
+		if b := h.bufs.Get(set); b == nil || b[way].cores&bit == 0 {
+			h.bufs.Own(set)[way].cores |= bit
+		}
 		lvl, lat = HitLLC, sim.Cycles(h.cfg.LLCLat)
 	}
 	if write {
-		if b := h.residentBuf(addr); b != nil {
+		if set, way, ok := h.resident(addr); ok {
+			b := &h.bufs.Own(set)[way]
 			b.dirty = true
 			h.invalidateOthers(core, addr, b.cores)
 			b.cores = 1 << uint(core) // sole private holder after write-invalidate
@@ -310,12 +328,15 @@ func (h *Hierarchy) touchShared(core int, addr dram.Addr) {
 	h.llc.Lookup(h.set(h.llc, addr), tag)
 }
 
-// Data returns the plaintext view of a resident line, or nil if the line is
-// not cached. The returned slice aliases internal state; writes through it
-// must be paired with a write Access so dirtiness is tracked.
+// Data returns the plaintext of a resident line for reading and writing,
+// or nil if the line is not cached. The array lives in a set page this
+// hierarchy owns (a shared page is cloned first), so a write through it
+// never reaches a snapshot or another fork; it is valid until the next
+// hierarchy call, and writes must be paired with a write Access so
+// dirtiness is tracked.
 func (h *Hierarchy) Data(addr dram.Addr) *[dram.LineSize]byte {
-	if b := h.residentBuf(lineAddr(addr)); b != nil {
-		return &b.data
+	if set, way, ok := h.resident(lineAddr(addr)); ok {
+		return &h.bufs.Own(set)[way].data
 	}
 	return nil
 }
@@ -330,7 +351,7 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 	var victim *Victim
 	set := h.set(h.llc, addr)
 	way, ev := h.llc.InsertWay(set, tag, false)
-	idx := h.bufIdx(set, way)
+	slot := &h.bufs.Own(set)[way]
 	mask := uint16(1) << uint(core)
 	if ev.Valid {
 		// The victim's buffer sits in the slot the new line just took; copy
@@ -339,7 +360,7 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 		// presence mask bounds which cores can still hold it privately.
 		evAddr := dram.Addr(uint64(ev.Tag) * dram.LineSize)
 		evTag := h.tag(evAddr)
-		evb := h.bufs[idx]
+		evb := *slot
 		evMask := evb.cores
 		if !evb.valid {
 			evMask = h.allCores()
@@ -356,15 +377,15 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 			h.countDrop()
 			victim = &h.victim
 		}
-	} else if b := &h.bufs[idx]; b.valid {
+	} else if slot.valid {
 		// Re-filling a still-resident line: other cores may hold it
 		// privately, so their mask bits must survive.
-		mask |= b.cores
+		mask |= slot.cores
 	}
 	h.l2[core].Insert(h.set(h.l2[core], addr), tag, false)
 	h.l1[core].Insert(h.set(h.l1[core], addr), tag, false)
 	h.countInstall()
-	h.bufs[idx] = lineBuf{data: data, dirty: dirty, valid: true, cores: mask}
+	*slot = lineBuf{data: data, dirty: dirty, valid: true, cores: mask}
 	return victim
 }
 
@@ -384,9 +405,9 @@ func (h *Hierarchy) dropLine(addr dram.Addr) *Victim {
 		}
 		return nil
 	}
-	idx := h.bufIdx(set, way)
-	b := h.bufs[idx]
-	h.bufs[idx] = lineBuf{}
+	slot := &h.bufs.Own(set)[way]
+	b := *slot
+	*slot = lineBuf{}
 	mask := b.cores
 	if !b.valid {
 		mask = h.allCores()
@@ -414,7 +435,7 @@ func (h *Hierarchy) Flush(addr dram.Addr) (*Victim, sim.Cycles) {
 	addr = lineAddr(addr)
 	h.cFlush.Inc()
 	lat := sim.Cycles(h.cfg.FlushLat)
-	if h.residentBuf(addr) == nil {
+	if _, _, ok := h.resident(addr); !ok {
 		return nil, lat
 	}
 	return h.dropLine(addr), lat
@@ -422,5 +443,6 @@ func (h *Hierarchy) Flush(addr dram.Addr) (*Victim, sim.Cycles) {
 
 // Resident reports whether addr's line is anywhere in the hierarchy.
 func (h *Hierarchy) Resident(addr dram.Addr) bool {
-	return h.residentBuf(lineAddr(addr)) != nil
+	_, _, ok := h.resident(lineAddr(addr))
+	return ok
 }

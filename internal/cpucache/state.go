@@ -4,11 +4,12 @@ import (
 	"fmt"
 
 	"meecc/internal/cache"
+	"meecc/internal/cow"
 	"meecc/internal/dram"
 )
 
 // LineBufState is one LLC-resident plaintext line buffer in a serialized
-// hierarchy image, addressed by its dense [set*ways+way] slot.
+// hierarchy image, addressed by its slot set*ways+way.
 type LineBufState struct {
 	Idx   int
 	Data  [dram.LineSize]byte
@@ -34,19 +35,20 @@ func (h *Hierarchy) ExportState() *State {
 	for _, c := range h.l2 {
 		st.L2 = append(st.L2, c.ExportState())
 	}
-	for i := range h.bufs {
-		b := &h.bufs[i]
-		if !b.valid {
-			continue
+	for set := 0; set < h.cfg.LLCSets; set++ {
+		bs := h.bufs.Get(set)
+		for way := range bs {
+			if b := &bs[way]; b.valid {
+				st.Bufs = append(st.Bufs, LineBufState{Idx: set*h.cfg.LLCWays + way, Data: b.data, Dirty: b.dirty})
+			}
 		}
-		st.Bufs = append(st.Bufs, LineBufState{Idx: i, Data: b.data, Dirty: b.dirty})
 	}
 	return st
 }
 
-// HierarchyFromState rebuilds a hierarchy from a serialized image; it runs
-// through Fork like any snapshot copy. Geometry mismatches against cfg are
-// errors.
+// HierarchyFromState rebuilds a frozen hierarchy from a serialized image;
+// like a Snapshot it never runs — Fork it. Geometry mismatches against cfg
+// are errors.
 func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("cpucache: invalid core count %d", cfg.Cores)
@@ -68,7 +70,7 @@ func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 	h := &Hierarchy{
 		cfg:  cfg,
 		llc:  llc,
-		bufs: make([]lineBuf, cfg.LLCSets*cfg.LLCWays),
+		bufs: cow.New[lineBuf](cfg.LLCSets, cfg.LLCWays),
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		if st.L1[i] == nil || st.L2[i] == nil {
@@ -91,13 +93,14 @@ func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 	}
 	last := -1
 	for _, b := range st.Bufs {
-		if b.Idx <= last || b.Idx >= len(h.bufs) {
+		if b.Idx <= last || b.Idx >= cfg.LLCSets*cfg.LLCWays {
 			return nil, fmt.Errorf("cpucache: buffer slot %d out of order or range", b.Idx)
 		}
 		last = b.Idx
 		// The serialized image does not carry private-cache presence, so
 		// restore with the conservative all-cores mask.
-		h.bufs[b.Idx] = lineBuf{data: b.Data, dirty: b.Dirty, valid: true, cores: h.allCores()}
+		h.bufs.Own(b.Idx / cfg.LLCWays)[b.Idx%cfg.LLCWays] = lineBuf{data: b.Data, dirty: b.Dirty, valid: true, cores: h.allCores()}
 	}
+	h.bufs = h.bufs.Freeze()
 	return h, nil
 }

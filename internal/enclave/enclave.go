@@ -137,17 +137,19 @@ func NewEPCAllocator(base dram.Addr, size uint64, mode AllocMode, rng *rand.Rand
 	return a
 }
 
-// Clone returns an independent deep copy of the allocator (frame order,
-// cursor, and ownership). Determinism note: the frame order was fixed at
+// Clone returns an independent copy of the allocator (frame order, cursor,
+// and ownership). Determinism note: the frame order was fixed at
 // construction, so clones allocate the same frames in the same order as the
-// original would have.
+// original would have. The frame list is shared, not copied: its elements
+// are never rewritten after construction, only appended to (Realloc), and
+// the clone's copy is capped at its length so an append on either side
+// reallocates instead of writing into the other's view.
 func (a *EPCAllocator) Clone() *EPCAllocator {
 	n := &EPCAllocator{
-		frames: make([]dram.Addr, len(a.frames)),
+		frames: a.frames[:len(a.frames):len(a.frames)],
 		next:   a.next,
 		owner:  make(map[dram.Addr]int, len(a.owner)),
 	}
-	copy(n.frames, a.frames)
 	for f, id := range a.owner {
 		n.owner[f] = id
 	}

@@ -77,8 +77,8 @@ func TestWarmReadDataAllocFreeWithMetrics(t *testing.T) {
 	}
 }
 
-// TestForkAllocsIndependentOfResidency pins the arena-backed Fork: cloning
-// the engine is a fixed set of slab allocations plus memcpys, so the
+// TestForkAllocsIndependentOfResidency pins the copy-on-write Fork: cloning
+// the engine is a fixed set of page-directory and array copies, so the
 // allocation count must not scale with how many node lines are resident.
 func TestForkAllocsIndependentOfResidency(t *testing.T) {
 	forkAllocs := func(lines int) float64 {

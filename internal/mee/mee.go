@@ -23,6 +23,7 @@ import (
 	"math/rand/v2"
 
 	"meecc/internal/cache"
+	"meecc/internal/cow"
 	"meecc/internal/dram"
 	"meecc/internal/itree"
 	"meecc/internal/obs"
@@ -160,11 +161,14 @@ type Engine struct {
 	cache *cache.Cache
 
 	// bufs mirrors the current content of every tree line resident in the
-	// MEE cache (DRAM may be stale for dirty lines). It is one contiguous
-	// value slab indexed [set*ways+way] in parallel with the cache's line
-	// storage: the per-walk lookup is an array index, dropping a line is
-	// clearing its valid bit, and Fork is a single slab copy.
-	bufs  []nodeBuf
+	// MEE cache (DRAM may be stale for dirty lines). It is a value slab
+	// indexed [set][way] in parallel with the cache's line directory,
+	// stored as copy-on-write set pages: the per-walk lookup is an array
+	// index, dropping a line is clearing its slot, and Fork copies a page
+	// directory. Every node-buffer pointer is taken through slot, which
+	// owns the page first, so a pointer held across a walk never goes
+	// stale by a later clone.
+	bufs  cow.Slab[nodeBuf]
 	nBufs int // resident count, for maybeRandomEvict's capacity/empty checks
 	// freeBufs tracks how deep the pointer-era recycling free list would be,
 	// so the nodebuf alloc/recycled observability counters keep their exact
@@ -185,8 +189,9 @@ type Engine struct {
 	// current.
 	root []uint64
 	// initialized tracks tree lines whose DRAM image has been materialized
-	// with valid MACs (lazy boot-time initialization): one bit per PRM line.
-	initialized []uint64
+	// with valid MACs (lazy boot-time initialization): one bit per PRM line,
+	// in copy-on-write pages shared across forks.
+	initialized cow.Bits
 
 	port  sim.Resource
 	stats Stats
@@ -203,7 +208,7 @@ type Engine struct {
 
 // nodeBuf is the decoded content of a cached tree line. addr is the line's
 // DRAM address, kept here so resident lines can be enumerated from the
-// dense buffer array alone (random eviction, cache flush). valid marks the
+// buffer slab alone (random eviction, cache flush). valid marks the
 // slot occupied; the slot index is implied by position in the slab.
 type nodeBuf struct {
 	addr    dram.Addr
@@ -291,46 +296,59 @@ func New(cfg Config, geom itree.Geometry, crypt *itree.Crypto, mem *dram.DRAM, r
 		crypt:       crypt,
 		mem:         mem,
 		cache:       cache.New("mee", cfg.CacheSets, cfg.CacheWays, policy),
-		bufs:        make([]nodeBuf, cfg.CacheSets*cfg.CacheWays),
+		bufs:        cow.New[nodeBuf](cfg.CacheSets, cfg.CacheWays),
 		root:        make([]uint64, geom.RootCounters),
-		initialized: make([]uint64, (geom.PRMSize/itree.LineSize+63)/64),
+		initialized: cow.NewBits(initWords(geom)),
 	}
 }
 
-// bufIdx maps a cache location to its slot in the dense buffer array.
-func (e *Engine) bufIdx(set, way int) int { return set*e.cfg.CacheWays + way }
+// initWords is the size in words of the initialized bitset.
+func initWords(geom itree.Geometry) int { return int((geom.PRMSize/itree.LineSize + 63) / 64) }
 
-// initBit maps a PRM line address to its word and mask in the initialized
-// bitset.
-func (e *Engine) initBit(addr dram.Addr) (word int, mask uint64) {
-	line := uint64(addr-e.geom.PRMBase) / itree.LineSize
-	return int(line / 64), 1 << (line % 64)
-}
+// slot returns the node buffer of a cache location for reading and
+// writing; its set page is cloned first if shared.
+func (e *Engine) slot(set, way int) *nodeBuf { return &e.bufs.Own(set)[way] }
 
-// Fork returns an independent deep copy of the engine for platform forking:
+// Fork returns an independent copy of the engine for platform forking:
 // cache contents and replacement state, resident node buffers, root
 // counters, init bitmap, port, and statistics all carry over. The copy gets
 // its own crypto scratch (same keys); mem rebinds it to the fork's DRAM
 // view; rng rebinds randomized replacement policies and must be the forked
-// engine's stream (nil only for frozen intermediate copies that never run).
-// Observability is not carried over — attach via Observe if needed.
+// engine's stream. Forking a frozen engine (from Snapshot or
+// EngineFromState) only reads it, so it may be forked from several
+// goroutines at once. Observability is not carried over — attach via
+// Observe if needed.
 func (e *Engine) Fork(mem *dram.DRAM, rng *rand.Rand) *Engine {
+	n := e.copyWith(e.cache.Clone(rng))
+	n.mem = mem
+	n.bufs = e.bufs.Fork()
+	n.initialized = e.initialized.Fork()
+	return n
+}
+
+// Snapshot returns a frozen copy of the engine for a platform snapshot: it
+// has no DRAM binding and never runs — Fork it. e keeps running; its MEE
+// cache pages go copy-on-write against the frozen copy.
+func (e *Engine) Snapshot() *Engine {
+	n := e.copyWith(e.cache.Snapshot())
+	n.bufs = e.bufs.Freeze()
+	n.initialized = e.initialized.Freeze()
+	return n
+}
+
+// copyWith copies the engine around an already-copied MEE cache.
+func (e *Engine) copyWith(c *cache.Cache) *Engine {
 	n := &Engine{
-		cfg:         e.cfg,
-		geom:        e.geom,
-		crypt:       e.crypt.Clone(),
-		mem:         mem,
-		cache:       e.cache.Clone(rng),
-		bufs:        make([]nodeBuf, len(e.bufs)),
-		nBufs:       e.nBufs,
-		root:        make([]uint64, len(e.root)),
-		initialized: make([]uint64, len(e.initialized)),
-		port:        e.port,
-		stats:       e.stats,
+		cfg:   e.cfg,
+		geom:  e.geom,
+		crypt: e.crypt.Clone(),
+		cache: c,
+		nBufs: e.nBufs,
+		root:  make([]uint64, len(e.root)),
+		port:  e.port,
+		stats: e.stats,
 	}
-	copy(n.bufs, e.bufs) // value slab: one memcpy clones every resident line
 	copy(n.root, e.root)
-	copy(n.initialized, e.initialized)
 	return n
 }
 

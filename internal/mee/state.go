@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"meecc/internal/cache"
+	"meecc/internal/cow"
 	"meecc/internal/dram"
 	"meecc/internal/itree"
 	"meecc/internal/sim"
@@ -40,25 +41,27 @@ func (e *Engine) ExportState() *State {
 	st := &State{
 		Cache:       e.cache.ExportState(),
 		Root:        make([]uint64, len(e.root)),
-		Initialized: make([]uint64, len(e.initialized)),
+		Initialized: e.initialized.Words(),
 		PortBusy:    e.port.BusyUntil(),
 		Stats:       e.stats,
 	}
 	copy(st.Root, e.root)
-	copy(st.Initialized, e.initialized)
-	for i := range e.bufs {
-		nb := &e.bufs[i]
-		if !nb.valid {
-			continue
+	for set := 0; set < e.cfg.CacheSets; set++ {
+		bs := e.bufs.Get(set)
+		for way := range bs {
+			nb := &bs[way]
+			if !nb.valid {
+				continue
+			}
+			st.Bufs = append(st.Bufs, BufState{
+				Idx:     set*e.cfg.CacheWays + way,
+				Addr:    nb.addr,
+				Kind:    nb.kind,
+				Counter: nb.counter,
+				Tags:    nb.tags,
+				Dirty:   nb.dirty,
+			})
 		}
-		st.Bufs = append(st.Bufs, BufState{
-			Idx:     i,
-			Addr:    nb.addr,
-			Kind:    nb.kind,
-			Counter: nb.counter,
-			Tags:    nb.tags,
-			Dirty:   nb.dirty,
-		})
 	}
 	return st
 }
@@ -88,7 +91,7 @@ func EngineFromState(cfg Config, geom itree.Geometry, crypt *itree.Crypto, st *S
 	if len(st.Root) != geom.RootCounters {
 		return nil, fmt.Errorf("mee: %d root counters, want %d", len(st.Root), geom.RootCounters)
 	}
-	if want := int((geom.PRMSize/itree.LineSize + 63) / 64); len(st.Initialized) != want {
+	if want := initWords(geom); len(st.Initialized) != want {
 		return nil, fmt.Errorf("mee: init bitmap %d words, want %d", len(st.Initialized), want)
 	}
 	e := &Engine{
@@ -96,21 +99,22 @@ func EngineFromState(cfg Config, geom itree.Geometry, crypt *itree.Crypto, st *S
 		geom:        geom,
 		crypt:       crypt,
 		cache:       c,
-		bufs:        make([]nodeBuf, cfg.CacheSets*cfg.CacheWays),
+		bufs:        cow.New[nodeBuf](cfg.CacheSets, cfg.CacheWays),
 		root:        make([]uint64, len(st.Root)),
-		initialized: make([]uint64, len(st.Initialized)),
+		initialized: cow.NewBits(len(st.Initialized)),
 		port:        sim.ResumeResource(st.PortBusy),
 		stats:       st.Stats,
 	}
 	copy(e.root, st.Root)
-	copy(e.initialized, st.Initialized)
+	e.initialized.Load(st.Initialized)
+	e.initialized = e.initialized.Freeze()
 	last := -1
 	for _, b := range st.Bufs {
-		if b.Idx <= last || b.Idx >= len(e.bufs) {
+		if b.Idx <= last || b.Idx >= cfg.CacheSets*cfg.CacheWays {
 			return nil, fmt.Errorf("mee: buffer slot %d out of order or range", b.Idx)
 		}
 		last = b.Idx
-		e.bufs[b.Idx] = nodeBuf{
+		*e.slot(b.Idx/cfg.CacheWays, b.Idx%cfg.CacheWays) = nodeBuf{
 			addr:    b.Addr,
 			kind:    b.Kind,
 			counter: b.Counter,
@@ -120,5 +124,6 @@ func EngineFromState(cfg Config, geom itree.Geometry, crypt *itree.Crypto, st *S
 		}
 		e.nBufs++
 	}
+	e.bufs = e.bufs.Freeze()
 	return e, nil
 }

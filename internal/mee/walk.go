@@ -20,7 +20,7 @@ func (e *Engine) loadVersions(w *walker, dataAddr dram.Addr) (*nodeBuf, error) {
 	set := e.CacheSetFor(vaddr)
 	if way, hit := e.cache.LookupWay(set, e.cacheTag(vaddr)); hit {
 		w.markHit(HitVersions)
-		return &e.bufs[e.bufIdx(set, way)], nil
+		return e.slot(set, way), nil
 	}
 	// Miss: fetch the line from DRAM.
 	w.dram(vaddr, false)
@@ -50,7 +50,7 @@ func (e *Engine) loadLevelCounter(w *walker, level int, idx uint64, slot int) (u
 	set := e.CacheSetFor(addr)
 	if way, hit := e.cache.LookupWay(set, e.cacheTag(addr)); hit {
 		w.markHit(HitL0 + HitLevel(level))
-		return e.bufs[e.bufIdx(set, way)].counter.Counters[slot], nil
+		return e.slot(set, way).counter.Counters[slot], nil
 	}
 	w.dram(addr, false)
 	e.ensureInit(addr)
@@ -84,7 +84,7 @@ func (e *Engine) loadTags(w *walker, dataAddr dram.Addr) (*nodeBuf, error) {
 	taddr := e.geom.TagLineAddr(dataAddr)
 	set := e.CacheSetFor(taddr)
 	if way, hit := e.cache.LookupWay(set, e.cacheTag(taddr)); hit {
-		return &e.bufs[e.bufIdx(set, way)], nil
+		return e.slot(set, way), nil
 	}
 	w.posted(taddr, false)
 	e.ensureInit(taddr)
@@ -108,10 +108,10 @@ func (w *walker) check() {
 func (e *Engine) install(w *walker, addr dram.Addr, set int, nb nodeBuf) *nodeBuf {
 	e.countInstall()
 	way, evicted := e.cache.InsertWay(set, e.cacheTag(addr), nb.dirty)
-	idx := e.bufIdx(set, way)
-	ev := e.bufs[idx] // victim's buffer lives in the slot we fill; copy it out
+	s := e.slot(set, way)
+	ev := *s // victim's buffer lives in the slot we fill; copy it out
 	nb.addr, nb.valid = addr, true
-	e.bufs[idx] = nb
+	*s = nb
 	e.nBufs++
 	if evicted.Valid {
 		e.nBufs--
@@ -123,7 +123,7 @@ func (e *Engine) install(w *walker, addr dram.Addr, set int, nb nodeBuf) *nodeBu
 			e.countDrop()
 		}
 	}
-	return &e.bufs[idx]
+	return s
 }
 
 // writeback flushes a dirty tree line to DRAM. Version and level lines must
@@ -184,7 +184,7 @@ func (e *Engine) bumpLevelCounter(w *walker, level int, idx uint64, slot int) ui
 	if !ok {
 		panic(fmt.Sprintf("mee: counter line %#x vanished during writeback", addr))
 	}
-	nb := &e.bufs[e.bufIdx(set, way)]
+	nb := e.slot(set, way)
 	nb.counter.Counters[slot] = pc + 1
 	nb.dirty = true
 	e.cache.MarkDirty(set, e.cacheTag(addr))
@@ -199,7 +199,7 @@ func (e *Engine) residentBuf(addr dram.Addr) *nodeBuf {
 	if !ok {
 		return nil
 	}
-	if nb := &e.bufs[e.bufIdx(set, way)]; nb.valid {
+	if nb := e.slot(set, way); nb.valid {
 		return nb
 	}
 	return nil
@@ -215,19 +215,13 @@ func (e *Engine) maybeRandomEvict(w *walker) {
 	}
 	// Enumerate residents in ascending address order so the victim draw is
 	// independent of storage layout (the map this replaced was sorted too).
-	addrs := make([]dram.Addr, 0, e.nBufs)
-	for i := range e.bufs {
-		if e.bufs[i].valid {
-			addrs = append(addrs, e.bufs[i].addr)
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	addrs := e.residentAddrs(false)
 	victim := addrs[w.rng.IntN(len(addrs))]
 	set := e.CacheSetFor(victim)
 	way, _ := e.cache.InvalidateWay(set, e.cacheTag(victim))
-	idx := e.bufIdx(set, way)
-	nb := e.bufs[idx] // copy out before clearing; the writeback may recurse
-	e.bufs[idx] = nodeBuf{}
+	s := e.slot(set, way)
+	nb := *s // copy out before clearing; the writeback may recurse
+	*s = nodeBuf{}
 	e.nBufs--
 	if nb.dirty {
 		prev := w.postedMode
@@ -243,11 +237,11 @@ func (e *Engine) maybeRandomEvict(w *walker) {
 // before a line's first writeback), or for tag lines the MACs of the
 // all-zero ciphertext at version zero.
 func (e *Engine) ensureInit(addr dram.Addr) {
-	word, mask := e.initBit(addr)
-	if e.initialized[word]&mask != 0 {
+	line := uint64(addr-e.geom.PRMBase) / itree.LineSize
+	if e.initialized.Has(line) {
 		return
 	}
-	e.initialized[word] |= mask
+	e.initialized.Set(line)
 	kind := e.geom.Classify(addr)
 	switch kind {
 	case itree.KindVersion, itree.KindLevel0, itree.KindLevel1, itree.KindLevel2:
@@ -280,16 +274,10 @@ func (e *Engine) FlushCache(now sim.Cycles, rng *rand.Rand) {
 	// in ascending address order (parents live above children in the PRM)
 	// until nothing dirty remains.
 	for {
-		addrs := make([]dram.Addr, 0, e.nBufs)
-		for i := range e.bufs {
-			if e.bufs[i].valid && e.bufs[i].dirty {
-				addrs = append(addrs, e.bufs[i].addr)
-			}
-		}
+		addrs := e.residentAddrs(true)
 		if len(addrs) == 0 {
 			break
 		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 		for _, addr := range addrs {
 			nb := e.residentBuf(addr)
 			if nb == nil || !nb.dirty {
@@ -300,11 +288,31 @@ func (e *Engine) FlushCache(now sim.Cycles, rng *rand.Rand) {
 		}
 	}
 	e.cache.FlushAll()
-	for i := range e.bufs {
-		if e.bufs[i].valid {
-			e.countDrop()
-			e.bufs[i] = nodeBuf{}
+	for set := 0; set < e.cfg.CacheSets; set++ {
+		bs := e.bufs.Get(set)
+		for way := range bs {
+			if bs[way].valid {
+				e.countDrop()
+				*e.slot(set, way) = nodeBuf{}
+			}
 		}
 	}
 	e.nBufs = 0
+}
+
+// residentAddrs returns the addresses of the resident tree lines — only the
+// dirty ones when dirtyOnly — in ascending order, so callers iterate
+// independently of storage layout.
+func (e *Engine) residentAddrs(dirtyOnly bool) []dram.Addr {
+	addrs := make([]dram.Addr, 0, e.nBufs)
+	for set := 0; set < e.cfg.CacheSets; set++ {
+		bs := e.bufs.Get(set)
+		for way := range bs {
+			if nb := &bs[way]; nb.valid && (nb.dirty || !dirtyOnly) {
+				addrs = append(addrs, nb.addr)
+			}
+		}
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	return addrs
 }

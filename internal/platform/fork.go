@@ -3,6 +3,7 @@ package platform
 import (
 	"fmt"
 
+	"meecc/internal/cow"
 	"meecc/internal/cpucache"
 	"meecc/internal/dram"
 	"meecc/internal/enclave"
@@ -10,24 +11,25 @@ import (
 	"meecc/internal/sim"
 )
 
-// Snapshot is a frozen deep copy of a platform's warm state, taken at a
+// Snapshot is a frozen copy of a platform's warm state, taken at a
 // quiescent point: no actors pending in the engine and no thread mid-
 // instruction. Fork stamps out independent platforms from it; each fork
 // resumes the RNG stream exactly where the parent left it, so a fork
 // behaves cycle-for-cycle like the parent would have. Snapshots may be
 // forked any number of times, concurrently, and the parent platform may
-// keep running after the snapshot (DRAM pages go copy-on-write on both
-// sides; everything else is deep-copied at snapshot time).
+// keep running after the snapshot: DRAM pages and the cache, MEE and
+// frame-bitmap set pages go copy-on-write on both sides, and the small
+// rest is copied.
 //
 // Observability does not carry across: forks boot with a nil Observer.
 type Snapshot struct {
 	cfg      Config
 	rngState []byte
 	mem      *dram.Snapshot
-	mee      *mee.Engine         // frozen copy; never runs
-	caches   *cpucache.Hierarchy // frozen copy; never runs
+	mee      *mee.Engine         // frozen view; never runs
+	caches   *cpucache.Hierarchy // frozen view; never runs
 	epc      *enclave.EPCAllocator
-	genUsed  []uint64
+	genUsed  cow.Bits
 	prmBase  dram.Addr
 	procs    []procSnap
 	nextEID  int
@@ -60,16 +62,15 @@ func (p *Platform) Snapshot() *Snapshot {
 		cfg:      cfg,
 		rngState: p.eng.RNGSnapshot(),
 		mem:      p.mem.Snapshot(),
-		mee:      p.mee.Fork(nil, nil),
-		caches:   p.caches.Fork(),
+		mee:      p.mee.Snapshot(),
+		caches:   p.caches.Snapshot(),
 		epc:      p.epc.Clone(),
-		genUsed:  make([]uint64, len(p.genUsed)),
+		genUsed:  p.genUsed.Freeze(),
 		prmBase:  p.prmBase,
 		procs:    make([]procSnap, len(p.procs)),
 		nextEID:  p.nextEID,
 		nextPID:  p.nextPID,
 	}
-	copy(s.genUsed, p.genUsed)
 	for i, pr := range p.procs {
 		s.procs[i] = procSnap{
 			name:     pr.name,
@@ -89,8 +90,10 @@ func (p *Platform) Snapshot() *Snapshot {
 // Fork builds an independent platform from the snapshot. The fork's engine
 // starts at cycle zero with an empty actor table (spawn ids restart at 0)
 // and the RNG stream resumed from the snapshot point; its memory system,
-// caches, MEE, EPC allocator, and processes are deep copies. Threads are
-// not carried over — respawn them with ResumeThread from saved ThreadState.
+// caches, MEE, EPC allocator, and processes are independent copies that
+// share unwritten pages with the snapshot. Fork only reads the snapshot.
+// Threads are not carried over — respawn them with ResumeThread from saved
+// ThreadState.
 func (s *Snapshot) Fork() *Platform {
 	eng, err := sim.NewEngineResumed(s.rngState)
 	if err != nil {
@@ -105,14 +108,13 @@ func (s *Snapshot) Fork() *Platform {
 		mee:     s.mee.Fork(mem, rng),
 		caches:  s.caches.Fork(),
 		epc:     s.epc.Clone(),
-		genUsed: make([]uint64, len(s.genUsed)),
+		genUsed: s.genUsed.Fork(),
 		prmBase: s.prmBase,
 		procs:   make([]*Process, len(s.procs)),
 		nextEID: s.nextEID,
 		nextPID: s.nextPID,
 		rng:     rng,
 	}
-	copy(p.genUsed, s.genUsed)
 	for i, ps := range s.procs {
 		pr := &Process{
 			plat:     p,

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"meecc/internal/cow"
 	"meecc/internal/cpucache"
 	"meecc/internal/dram"
 	"meecc/internal/enclave"
@@ -85,7 +86,7 @@ type Platform struct {
 	caches *cpucache.Hierarchy
 	epc    *enclave.EPCAllocator
 
-	genUsed []uint64 // bitset over general-region 4 KB frames handed out
+	genUsed cow.Bits // general-region 4 KB frames handed out
 	prmBase dram.Addr
 	procs   []*Process
 	nextEID int
@@ -95,14 +96,17 @@ type Platform struct {
 
 // genFrameUsed reports whether the general-region frame at f was handed out.
 func (p *Platform) genFrameUsed(f dram.Addr) bool {
-	i := uint64(f) / enclave.PageBytes
-	return p.genUsed[i/64]&(1<<(i%64)) != 0
+	return p.genUsed.Has(uint64(f) / enclave.PageBytes)
 }
 
 // markGenFrame records the general-region frame at f as handed out.
 func (p *Platform) markGenFrame(f dram.Addr) {
-	i := uint64(f) / enclave.PageBytes
-	p.genUsed[i/64] |= 1 << (i % 64)
+	p.genUsed.Set(uint64(f) / enclave.PageBytes)
+}
+
+// genWords is the size in words of the general-frame bitmap below prmBase.
+func genWords(prmBase dram.Addr) int {
+	return int((uint64(prmBase)/enclave.PageBytes + 63) / 64)
 }
 
 // New boots a machine from cfg. It panics on inconsistent configuration —
@@ -130,7 +134,7 @@ func New(cfg Config) *Platform {
 		mee:     mee.New(cfg.MEE, geom, itree.NewCrypto(master), mem, rng),
 		caches:  cpucache.New(cfg.CPU),
 		epc:     enclave.NewEPCAllocator(prmBase, cfg.EPCSize, cfg.EPCMode, rng),
-		genUsed: make([]uint64, (uint64(prmBase)/enclave.PageBytes+63)/64),
+		genUsed: cow.NewBits(genWords(prmBase)),
 		prmBase: prmBase,
 		rng:     rng,
 	}

@@ -3,6 +3,7 @@ package platform
 import (
 	"fmt"
 
+	"meecc/internal/cow"
 	"meecc/internal/cpucache"
 	"meecc/internal/dram"
 	"meecc/internal/enclave"
@@ -53,7 +54,7 @@ func (s *Snapshot) ExportState() *SnapshotState {
 		MEE:      s.mee.ExportState(),
 		Caches:   s.caches.ExportState(),
 		EPC:      s.epc.ExportState(),
-		GenUsed:  append([]uint64(nil), s.genUsed...),
+		GenUsed:  s.genUsed.Words(),
 		PRMBase:  s.prmBase,
 		NextEID:  s.nextEID,
 		NextPID:  s.nextPID,
@@ -102,7 +103,7 @@ func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 	if st.MEE == nil || st.Mem == nil || st.Caches == nil || st.EPC == nil {
 		return nil, fmt.Errorf("platform: snapshot image missing a component state")
 	}
-	if want := (uint64(prmBase)/enclave.PageBytes + 63) / 64; uint64(len(st.GenUsed)) != want {
+	if want := genWords(prmBase); len(st.GenUsed) != want {
 		return nil, fmt.Errorf("platform: general-frame bitmap %d words, want %d", len(st.GenUsed), want)
 	}
 	mem, err := dram.SnapshotFromState(st.Mem)
@@ -128,11 +129,13 @@ func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 		mee:      meeEng,
 		caches:   caches,
 		epc:      epc,
-		genUsed:  append([]uint64(nil), st.GenUsed...),
+		genUsed:  cow.NewBits(len(st.GenUsed)),
 		prmBase:  prmBase,
 		nextEID:  st.NextEID,
 		nextPID:  st.NextPID,
 	}
+	s.genUsed.Load(st.GenUsed)
+	s.genUsed = s.genUsed.Freeze()
 	for i, ps := range st.Procs {
 		pt, err := enclave.PageTableFromEntries(ps.PT)
 		if err != nil {
